@@ -172,19 +172,26 @@ def canon_key(n, rows, colors=None):
     """Bytes uniquely identifying the isomorphism class of the graph.
 
     Layout: one byte ``n``, the sorted colour values (when given), then the
-    canonically relabeled adjacency rows packed big-endian.
+    adjacency rows relabeled into the ``canon_perm`` order, each packed
+    big-endian in ``(n + 7) // 8`` bytes.  The tail is thus the canonical
+    graph itself and the colour bytes are the colours in canonical order;
+    the graph searches keep keys as their states and decode both from them.
     """
     order = canon_perm(n, rows, colors)
+    pos = [0] * n
+    for k, v in enumerate(order):
+        pos[v] = k
     nb = (n + 7) // 8
     out = bytearray([n])
     if colors is not None:
         out += bytes(sorted(colors))
-    for k in range(n):
-        row = rows[order[k]]
+    for v in order:
+        row = rows[v]
         nr = 0
-        for pos in range(n):
-            if (row >> order[pos]) & 1:
-                nr |= 1 << pos
+        while row:
+            low = row & -row
+            nr |= 1 << pos[low.bit_length() - 1]
+            row ^= low
         out += nr.to_bytes(nb, "big")
     return bytes(out)
 

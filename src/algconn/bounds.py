@@ -22,6 +22,8 @@ import numpy as np
 
 from .graphs import (
     Graph,
+    _bits,
+    _layers,
     degree_sequence,
     diameter,
     girth,
@@ -90,39 +92,20 @@ def lamtilde_test_vector(g: Graph, r: int, d: int) -> np.ndarray:
     if not is_connected(g):
         raise ValueError("test vector needs a connected graph")
     dec = layer_decomposition(g.n, d)
-    dist = _bfs_order(g, r)
+    order = [v for layer in _layers(g.rows, 1 << r) for v in _bits(layer)]
     x = np.empty(g.n)
     pos = 0
     width = 1
     for k in range(1, dec.K + 1):
         val = 1.0 - (d - 1.0) ** (-k)
-        for v in dist[pos : pos + width]:
+        for v in order[pos : pos + width]:
             x[v] = val
         pos += width
         width *= d - 1
     val = 1.0 - (d - 1.0) ** (-(dec.K + 1))
-    for v in dist[pos:]:
+    for v in order[pos:]:
         x[v] = val
     return x
-
-
-def _bfs_order(g: Graph, r: int) -> list[int]:
-    dist = [-1] * g.n
-    dist[r] = 0
-    queue = [r]
-    head = 0
-    while head < len(queue):
-        u = queue[head]
-        head += 1
-        row = g.rows[u]
-        while row:
-            low = row & -row
-            w = low.bit_length() - 1
-            row ^= low
-            if dist[w] < 0:
-                dist[w] = dist[u] + 1
-                queue.append(w)
-    return sorted(range(g.n), key=lambda v: (dist[v], v))
 
 
 def precise_lamtilde_bound(d: int, K: int) -> Fraction:
@@ -320,9 +303,9 @@ def bound_report(g: Graph) -> BoundReport:
     else:
         add("girth_cubic", None, False, True, "needs a cubic graph with a cycle")
 
-    if cubic and is_connected(g) and diameter(g) >= 2:
-        add("nilli_cubic", nilli_bound(diameter(g)), True, True,
-            f"diameter {diameter(g)}")
+    D = diameter(g) if cubic and is_connected(g) else 0
+    if D >= 2:
+        add("nilli_cubic", nilli_bound(D), True, True, f"diameter {D}")
     else:
         add("nilli_cubic", None, False, True,
             "needs a connected cubic graph of diameter >= 2")

@@ -26,7 +26,7 @@ import numpy as np
 
 from .augment import compare_families, edge_augmentation
 from .bounds import bound_report
-from .families import named, named_graph_names
+from .families import graph_from_spec, named_graph_names
 from .graphs import Graph, GraphFormatError, graph6_decode, graph6_encode
 from .search import (
     enumerate_cubic,
@@ -51,8 +51,9 @@ def _load_graph(source: str) -> Graph:
     ``named:NAME`` | path to a file whose first non-comment line is graph6 |
     graph6 literal.
     """
-    if source.startswith("named:"):
-        return named(source[len("named:") :])
+    g = graph_from_spec(source)
+    if g is not None:
+        return g
     if os.path.exists(source):
         with open(source, "r", encoding="ascii") as fh:
             for line in fh:
@@ -225,7 +226,7 @@ def _cmd_verify(args):
             threads=threads,
         )
     else:
-        rep = verify_conjecture_cubic(args.K, threads=threads)
+        rep = verify_conjecture_cubic(args.K)
     results = {
         "name": rep.name,
         "params": rep.params,

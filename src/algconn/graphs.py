@@ -62,11 +62,7 @@ class Graph:
         return bool((self.rows[i] >> j) & 1)
 
     def neighbors(self, v: int) -> Iterator[int]:
-        row = self.rows[v]
-        while row:
-            low = row & -row
-            yield low.bit_length() - 1
-            row ^= low
+        return _bits(self.rows[v])
 
     def edges(self) -> Iterator[tuple[int, int]]:
         for i in range(self.n):
@@ -156,56 +152,65 @@ def min_degree(g: Graph) -> int:
     return min(r.bit_count() for r in g.rows)
 
 
-def is_connected(g: Graph) -> bool:
-    seen = 1
-    frontier = 1
-    full = (1 << g.n) - 1
+def _layers(rows, start: int, within: int = -1) -> Iterator[int]:
+    """Breadth-first layers, as bitmasks, out of the vertex set ``start``.
+
+    ``rows`` are adjacency bitmasks (a Graph's or a partial search state's),
+    and only vertices in the bitmask ``within`` are entered.  The package's
+    bitmask walks (connectivity, distances, components, tree sides) are all
+    built on this one frontier loop.
+    """
+    seen = frontier = start
     while frontier:
+        yield frontier
         nxt = 0
         while frontier:
             low = frontier & -frontier
-            nxt |= g.rows[low.bit_length() - 1]
+            nxt |= rows[low.bit_length() - 1]
             frontier ^= low
-        frontier = nxt & ~seen
+        frontier = nxt & within & ~seen
         seen |= frontier
-    return seen == full
+
+
+def _reach(rows, start: int, within: int = -1) -> int:
+    """Bitmask of the vertices reachable from ``start`` inside ``within``."""
+    seen = 0
+    for layer in _layers(rows, start, within):
+        seen |= layer
+    return seen
+
+
+def _components(rows, within: int) -> list[int]:
+    """Components of the subgraph induced on ``within``, by lowest vertex."""
+    comps = []
+    while within:
+        comp = _reach(rows, within & -within, within)
+        comps.append(comp)
+        within &= ~comp
+    return comps
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """Set bits of ``mask`` in increasing order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def is_connected(g: Graph) -> bool:
+    return _reach(g.rows, 1) == (1 << g.n) - 1
 
 
 def is_tree(g: Graph) -> bool:
     return g.m == g.n - 1 and is_connected(g)
 
 
-def _bfs_dist(g: Graph, root: int) -> list[int]:
-    dist = [-1] * g.n
-    dist[root] = 0
-    frontier = 1 << root
-    seen = frontier
-    d = 0
-    while frontier:
-        nxt = 0
-        while frontier:
-            low = frontier & -frontier
-            nxt |= g.rows[low.bit_length() - 1]
-            frontier ^= low
-        frontier = nxt & ~seen
-        seen |= frontier
-        d += 1
-        row = frontier
-        while row:
-            low = row & -row
-            dist[low.bit_length() - 1] = d
-            row ^= low
-    return dist
-
-
 def diameter(g: Graph) -> int:
     """Largest pairwise distance; raises on disconnected input."""
     if not is_connected(g):
         raise ValueError("diameter of a disconnected graph")
-    best = 0
-    for v in range(g.n):
-        best = max(best, max(_bfs_dist(g, v)))
-    return best
+    return max(sum(1 for _ in _layers(g.rows, 1 << v)) - 1 for v in range(g.n))
 
 
 def girth(g: Graph) -> Optional[int]:
@@ -249,10 +254,37 @@ def girth(g: Graph) -> Optional[int]:
 
 
 def canonical_key(g: Graph) -> bytes:
-    """Compact isomorphism-class key (cheaper than canonical_form)."""
+    """Compact isomorphism-class key (cheaper than canonical_form).
+
+    Layout: one byte ``n``, then the canonically relabeled adjacency rows,
+    each big-endian in ``(n + 7) // 8`` bytes.  The tail is the canonical
+    graph itself, and the searches use the key as their state for that
+    reason; ``_decode_key`` decodes it.
+    """
     if g.n > CANON_MAX_VERTICES:
         raise ValueError(f"canonical forms support n <= {CANON_MAX_VERTICES}")
     return _kernels.canon_key(g.n, g.rows)
+
+
+def _decode_key(key: bytes) -> tuple[tuple[int, ...], bytes]:
+    """Canonical adjacency rows and colours held in a ``canon_key``.
+
+    The colours (empty for an uncoloured key) come in canonical order.  Rows
+    have a fixed width, so keys of one vertex count and one colour multiset
+    sort exactly as their rows tuples do.
+    """
+    n = key[0]
+    nb = (n + 7) // 8
+    tail = len(key) - n * nb
+    rows = tuple(
+        int.from_bytes(key[k : k + nb], "big") for k in range(tail, len(key), nb)
+    )
+    return rows, key[1:tail]
+
+
+def _canonical_graph(g: Graph) -> Graph:
+    """g relabeled into its canonical order."""
+    return Graph(g.n, _decode_key(canonical_key(g))[0])
 
 
 def canonical_form(g: Graph) -> CanonicalForm:
@@ -262,20 +294,14 @@ def canonical_form(g: Graph) -> CanonicalForm:
     same orbit exactly when the graphs with u (resp. v) individualized by a
     colour are isomorphic, so one coloured key per vertex suffices.
     """
-    if g.n > CANON_MAX_VERTICES:
-        raise ValueError(f"canonical forms support n <= {CANON_MAX_VERTICES}")
-    order = _kernels.canon_perm(g.n, g.rows)
-    pos = [0] * g.n
-    for k, v in enumerate(order):
-        pos[v] = k
-    relabeled = permute(g, pos)
+    canon = _canonical_graph(g)  # raises first when g is too large
     marked = []
     for v in range(g.n):
         colors = [0] * g.n
         colors[v] = 1
         marked.append(_kernels.canon_key(g.n, g.rows, tuple(colors)))
     return CanonicalForm(
-        bytes=graph6_encode(relabeled).encode("ascii"),
+        bytes=graph6_encode(canon).encode("ascii"),
         orbit_count=len(set(marked)),
     )
 

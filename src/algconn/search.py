@@ -2,9 +2,14 @@
 
 Trees come from a constant-amortized-time successor over canonical level
 sequences.  Cubic graphs and fixed-edge-count graphs are generated by
-closing one vertex (resp. adding one edge) at a time, deduplicating partial
-states by a canonical key that includes the remaining-capacity coloring, so
-each isomorphism class of partial states is expanded once.
+closing one vertex (resp. adding one edge) at a time.  A partial state is
+held as its canonical key (``canon_key`` bytes, with the remaining-capacity
+counts as colours for cubic states): the key's tail is the canonically
+relabeled adjacency, so one canonical labeling per candidate both
+deduplicates the state and gives the rows it is expanded from, and each
+isomorphism class of partial states is expanded once.  Keys of one family
+have fixed-width big-endian rows, so sorting keys sorts the graphs by their
+canonical rows.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
@@ -19,7 +25,15 @@ from typing import Iterable, Iterator, Optional
 import numpy as np
 
 from . import _kernels
-from .graphs import Graph, graph6_encode, is_connected
+from .graphs import (
+    Graph,
+    _bits,
+    _canonical_graph,
+    _components,
+    _decode_key,
+    graph6_encode,
+    is_connected,
+)
 from .spectral import batched_lambda2, laplacian
 
 TREE_MAX_N = 24
@@ -106,38 +120,6 @@ def count_trees(n: int, d_max: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _relabel_rows(n: int, rows, perm) -> tuple[int, ...]:
-    out = [0] * n
-    for i in range(n):
-        row = rows[i]
-        new = 0
-        while row:
-            low = row & -row
-            new |= 1 << perm[low.bit_length() - 1]
-            row ^= low
-        out[perm[i]] = new
-    return tuple(out)
-
-
-def _components(n: int, rows) -> list[int]:
-    remaining = (1 << n) - 1
-    comps = []
-    while remaining:
-        seen = remaining & -remaining
-        frontier = seen
-        while frontier:
-            nxt = 0
-            while frontier:
-                low = frontier & -frontier
-                nxt |= rows[low.bit_length() - 1]
-                frontier ^= low
-            frontier = nxt & ~seen
-            seen |= frontier
-        comps.append(seen)
-        remaining &= ~seen
-    return comps
-
-
 def _cubic_state_viable(n: int, rows, caps) -> bool:
     # every open vertex needs enough open non-neighbors to finish
     open_mask = 0
@@ -150,7 +132,7 @@ def _cubic_state_viable(n: int, rows, caps) -> bool:
             return False
     # components must either be open or be the whole graph, and there must
     # be enough capacity left to merge them all
-    comps = _components(n, rows)
+    comps = _components(rows, (1 << n) - 1)
     if len(comps) > 1:
         total_open = 0
         for comp in comps:
@@ -168,21 +150,24 @@ def enumerate_cubic(n: int) -> Iterator[Graph]:
 
     Partial states carry a per-vertex remaining-degree count; expanding a
     state closes its first open vertex against every viable set of partners.
-    States are kept canonical (capacity counts act as colors), so isomorphic
-    partials collapse and each final graph appears exactly once.
+    A state is its canon_key with the capacity counts as colours: the key's
+    colour bytes are the canonical capacities and its tail the canonical
+    rows, so isomorphic partials collapse and each final graph appears
+    exactly once.
     """
     if n % 2 or not 4 <= n <= CUBIC_MAX_N:
         raise ValueError(f"cubic enumeration supports even 4 <= n <= {CUBIC_MAX_N}")
-    start = ((0,) * n, (3,) * n)
-    seen = {_kernels.canon_key(n, start[0], start[1])}
+    start = _kernels.canon_key(n, (0,) * n, (3,) * n)
+    seen = {start}
     stack = [start]
     finals = []
     while stack:
-        rows, caps = stack.pop()
+        key = stack.pop()
+        rows, caps = _decode_key(key)
         u = next((v for v in range(n) if caps[v]), -1)
         if u < 0:
             if is_connected(Graph(n, rows)):
-                finals.append(rows)
+                finals.append(key)
             continue
         open_others = [
             v
@@ -199,18 +184,12 @@ def enumerate_cubic(n: int) -> Iterator[Graph]:
             new_caps[u] = 0
             if not _cubic_state_viable(n, new_rows, new_caps):
                 continue
-            perm = _kernels.canon_perm(n, tuple(new_rows), tuple(new_caps))
-            pos = [0] * n
-            for k, v in enumerate(perm):
-                pos[v] = k
-            canon_rows = _relabel_rows(n, new_rows, pos)
-            canon_caps = tuple(new_caps[v] for v in perm)
-            key = _kernels.canon_key(n, canon_rows, canon_caps)
-            if key not in seen:
-                seen.add(key)
-                stack.append((canon_rows, canon_caps))
-    for rows in sorted(finals):
-        yield Graph(n, rows)
+            child = _kernels.canon_key(n, new_rows, new_caps)
+            if child not in seen:
+                seen.add(child)
+                stack.append(child)
+    for key in sorted(finals):
+        yield Graph(n, _decode_key(key)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -219,43 +198,51 @@ def enumerate_cubic(n: int) -> Iterator[Graph]:
 
 
 def enumerate_graphs(n: int, m: int, min_degree: int = 0) -> Iterator[Graph]:
-    """All connected graphs with n vertices, m edges, degrees >= min_degree."""
+    """All connected graphs with n vertices, m edges, degrees >= min_degree.
+
+    Edges are added one level at a time; each level is the set of canon_keys
+    of the partial graphs that can still reach the degree floor and
+    connectivity with the edges left.
+    """
     if not 1 <= n <= GRAPH_MAX_N:
         raise ValueError(f"graph enumeration supports 1 <= n <= {GRAPH_MAX_N}")
     if not 0 <= m <= n * (n - 1) // 2:
         raise ValueError("edge count out of range")
     if min_degree < 0 or (min_degree > 0 and m * 2 < n * min_degree):
         raise ValueError("degree floor infeasible for this edge count")
-    level = {(0,) * n}
+    full = (1 << n) - 1
+    level = {_kernels.canon_key(n, (0,) * n)}
     for k in range(m):
         remaining = m - k - 1
-        nxt = {}
-        for rows in level:
+        nxt = set()
+        for key in level:
+            rows, _ = _decode_key(key)
+            # an edge lowers the degree deficit by one at each short end,
+            # and the component count by one when it joins two components
+            short = [r.bit_count() < min_degree for r in rows]
+            deficit = sum(max(0, min_degree - r.bit_count()) for r in rows)
+            comps = _components(rows, full)
+            comp_of = [0] * n
+            for comp in comps:
+                for v in _bits(comp):
+                    comp_of[v] = comp
             for i in range(n):
                 for j in range(i + 1, n):
                     if (rows[i] >> j) & 1:
                         continue
+                    if deficit - short[i] - short[j] > 2 * remaining:
+                        continue
+                    joins = not (comp_of[i] >> j) & 1
+                    if len(comps) - joins - 1 > remaining:
+                        continue
                     new_rows = list(rows)
                     new_rows[i] |= 1 << j
                     new_rows[j] |= 1 << i
-                    deficiency = sum(
-                        max(0, min_degree - r.bit_count()) for r in new_rows
-                    )
-                    if deficiency > 2 * remaining:
-                        continue
-                    if len(_components(n, new_rows)) - 1 > remaining:
-                        continue
-                    canon = tuple(new_rows)
-                    perm = _kernels.canon_perm(n, canon)
-                    pos = [0] * n
-                    for idx, v in enumerate(perm):
-                        pos[v] = idx
-                    canon = _relabel_rows(n, new_rows, pos)
-                    nxt[canon] = None
-        level = set(nxt)
-    for rows in sorted(level):
-        g = Graph(n, rows)
-        if is_connected(g) and all(r.bit_count() >= min_degree for r in rows):
+                    nxt.add(_kernels.canon_key(n, new_rows))
+        level = nxt
+    for key in sorted(level):
+        g = Graph(n, _decode_key(key)[0])
+        if is_connected(g) and all(r.bit_count() >= min_degree for r in g.rows):
             yield g
 
 
@@ -287,9 +274,11 @@ def maximize_lambda2(
     """Largest algebraic connectivity over a family, with all maximizers.
 
     Graphs are processed in fixed-size chunks through the batched
-    eigensolver; chunks may be solved on worker threads but are merged in
-    submission order, and ties are resolved by value within 1e-9 and then by
-    canonical graph6 string, so the outcome is independent of thread count.
+    eigensolver.  Chunks may be solved on worker threads; at most
+    threads + 1 are in flight at once, so the family is never held in
+    memory whole, and they are merged in submission order.  Ties are
+    resolved by value within 1e-9 and then by canonical graph6 string, so
+    the outcome is independent of thread count.
     """
     threads = resolve_threads(threads)
     it = iter(family)
@@ -318,15 +307,25 @@ def maximize_lambda2(
         keep = [(float(val), g) for val, g in scored if val >= best - _TIE_TOL]
         return len(block), best, keep
 
+    def solved():
+        # at most threads + 1 chunks in flight, results in submission order
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            pending = deque()
+            for block in chunks():
+                pending.append(pool.submit(solve, block))
+                if len(pending) > threads:
+                    yield pending.popleft().result()
+            while pending:
+                yield pending.popleft().result()
+
     total = 0
     best = None
     candidates = []
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        for count, chunk_best, keep in pool.map(solve, chunks()):
-            total += count
-            if best is None or chunk_best > best:
-                best = chunk_best
-            candidates.extend(keep)
+    for count, chunk_best, keep in solved():
+        total += count
+        if best is None or chunk_best > best:
+            best = chunk_best
+        candidates.extend(keep)
     if best is None:
         raise ValueError("empty family")
     maximizers = sorted(
@@ -342,14 +341,6 @@ def maximize_lambda2(
         best_lambda2=best,
         maximizers=tuple(maximizers),
     )
-
-
-def _canonical_graph(g: Graph) -> Graph:
-    perm = _kernels.canon_perm(g.n, g.rows)
-    pos = [0] * g.n
-    for k, v in enumerate(perm):
-        pos[v] = k
-    return Graph(g.n, _relabel_rows(g.n, g.rows, pos))
 
 
 # ---------------------------------------------------------------------------
@@ -537,7 +528,7 @@ def verify_conjecture_tree2(
     )
 
 
-def verify_conjecture_cubic(K: int, threads: Optional[int] = None) -> ConjectureReport:
+def verify_conjecture_cubic(K: int) -> ConjectureReport:
     """The bound 3 - 2 sqrt(2) cos(pi/K) is attained by exactly one cubic
     graph on n = 2^(K+1) - 2 vertices, and no such graph exceeds it."""
     from .bounds import tk_bound

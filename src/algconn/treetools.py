@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bounds import lamtilde_test_vector
-from .graphs import Graph, is_tree, max_degree
+from .graphs import Graph, _bits, _components, _reach, is_tree, max_degree
 from .spectral import modified_rayleigh_quotient
 
 
@@ -25,42 +25,12 @@ class SplitResult:
     component_sizes: tuple[int, ...]
 
 
-def _side_mask(g: Graph, start: int, banned: int) -> int:
-    # vertices reachable from start without entering `banned`
-    seen = 1 << start
-    frontier = seen
-    while frontier:
-        nxt = 0
-        while frontier:
-            low = frontier & -frontier
-            nxt |= g.rows[low.bit_length() - 1]
-            frontier ^= low
-        frontier = nxt & ~seen & ~(1 << banned)
-        seen |= frontier
-    return seen
-
-
-def _components_without(g: Graph, v: int) -> list[int]:
-    remaining = ((1 << g.n) - 1) & ~(1 << v)
-    comps = []
-    while remaining:
-        start = (remaining & -remaining).bit_length() - 1
-        mask = _side_mask(g, start, v) & remaining
-        comps.append(mask)
-        remaining &= ~mask
-    return comps
-
-
 def _heaviest_neighbor(g: Graph, v: int) -> int:
     # neighbor whose side of the edge (v, u) is largest; ties to lowest index
     best_u = -1
     best_size = -1
-    row = g.rows[v]
-    while row:
-        low = row & -row
-        u = low.bit_length() - 1
-        row ^= low
-        size = _side_mask(g, u, v).bit_count()
+    for u in g.neighbors(v):
+        size = _reach(g.rows, 1 << u, ~(1 << v)).bit_count()
         if size > best_size:
             best_size = size
             best_u = u
@@ -91,7 +61,7 @@ def find_splitting_vertex(t: Graph) -> SplitResult:
     else:
         raise RuntimeError("walk failed to settle")  # pragma: no cover
     a, b = v, nxt  # the two-cycle edge
-    side_b = _side_mask(t, b, a).bit_count()
+    side_b = _reach(t.rows, 1 << b, ~(1 << a)).bit_count()
     side_a = t.n - side_b
     if side_a > side_b:
         chosen = a
@@ -99,9 +69,8 @@ def find_splitting_vertex(t: Graph) -> SplitResult:
         chosen = b
     else:
         chosen = min(a, b)
-    sizes = sorted(
-        (m.bit_count() for m in _components_without(t, chosen)), reverse=True
-    )
+    rest = ((1 << t.n) - 1) ^ (1 << chosen)
+    sizes = sorted((m.bit_count() for m in _components(t.rows, rest)), reverse=True)
     return SplitResult(vertex=chosen, component_sizes=tuple(sizes))
 
 
@@ -122,7 +91,7 @@ def split_spectral_bound(t: Graph) -> float:
     """
     split = find_splitting_vertex(t)
     v = split.vertex
-    comps = _components_without(t, v)
+    comps = _components(t.rows, ((1 << t.n) - 1) ^ (1 << v))
     comps.sort(key=lambda m: (-m.bit_count(), m & -m))
     d = max(3, max_degree(t))
     quotients = []
@@ -135,21 +104,13 @@ def split_spectral_bound(t: Graph) -> float:
 
 def _induced_rooted(g: Graph, mask: int, cut: int) -> tuple[Graph, int]:
     # induced subgraph on mask, rooted at the unique neighbor of `cut` inside
-    verts = []
-    mm = mask
-    while mm:
-        low = mm & -mm
-        verts.append(low.bit_length() - 1)
-        mm ^= low
+    verts = list(_bits(mask))
     index = {v: i for i, v in enumerate(verts)}
     rows = []
     for v in verts:
-        row = g.rows[v] & mask
         new = 0
-        while row:
-            low = row & -row
-            new |= 1 << index[low.bit_length() - 1]
-            row ^= low
+        for w in _bits(g.rows[v] & mask):
+            new |= 1 << index[w]
         rows.append(new)
     attach = g.rows[cut] & mask
     root_old = (attach & -attach).bit_length() - 1
@@ -170,7 +131,7 @@ def is_well_balanced(t: Graph) -> bool:
     threshold = Fraction(t.n - 1, d)
     for v in range(t.n):
         big = 0
-        for mask in _components_without(t, v):
+        for mask in _components(t.rows, ((1 << t.n) - 1) ^ (1 << v)):
             if mask.bit_count() >= threshold:
                 big += 1
                 if big >= 2:

@@ -5,10 +5,15 @@ import random
 
 import pytest
 
+from algconn import _kernels
 from algconn.graphs import (
     CANON_MAX_VERTICES,
     Graph,
     GraphFormatError,
+    _components,
+    _decode_key,
+    _layers,
+    _reach,
     canonical_form,
     canonical_key,
     degree_sequence,
@@ -106,6 +111,15 @@ def test_connectivity():
     assert not is_connected(from_edges(4, [(0, 1), (2, 3)]))
     assert is_connected(from_edges(1, []))
     assert not is_connected(from_edges(2, []))
+    # the frontier primitive under it: path 0-1-2-3-4 plus the edge 5-6
+    g = from_edges(7, [(0, 1), (1, 2), (2, 3), (3, 4), (5, 6)])
+    assert list(_layers(g.rows, 1 << 2)) == [0b100, 0b1010, 0b10001]
+    assert list(_layers(g.rows, 0b11, ~0b100)) == [0b11]  # vertex 2 walled off
+    assert _reach(g.rows, 1 << 4, ~(1 << 1)) == 0b11100
+    assert _components(g.rows, 0b1111111) == [0b11111, 0b1100000]
+    # dropping vertex 2 splits the path; components come by lowest vertex
+    assert _components(g.rows, 0b1111011) == [0b11, 0b11000, 0b1100000]
+    assert _components(g.rows, 0) == []
 
 
 def test_is_tree():
@@ -254,6 +268,22 @@ def test_canonical_key_invariance_and_separation():
         g2 = Graph(n, rows)
         if not _brute_isomorphic(g, g2):
             assert canonical_key(g) != canonical_key(g2)
+
+
+def test_canon_key_tail_is_the_canon_perm_relabeling():
+    # the searches read canonical rows and colours straight out of the key
+    rng = random.Random(2718)
+    for trial in range(120):
+        n = rng.randrange(1, 21)  # up to three bytes per row
+        g = _random_graph(rng, n, p=rng.uniform(0.1, 0.7))
+        colors = tuple(rng.randrange(3) for _ in range(n)) if trial % 2 else None
+        order = _kernels.canon_perm(n, g.rows, colors)
+        pos = [0] * n
+        for k, v in enumerate(order):
+            pos[v] = k
+        rows, canon_colors = _decode_key(_kernels.canon_key(n, g.rows, colors))
+        assert rows == permute(g, pos).rows
+        assert canon_colors == (bytes(colors[v] for v in order) if colors else b"")
 
 
 def test_canonical_form_is_a_graph6_relabeling():

@@ -7,6 +7,7 @@ import pytest
 
 from algconn.families import bethe_tree, complete, complete_bipartite, named, path
 from algconn.graphs import (
+    _decode_key,
     canonical_form,
     canonical_key,
     from_edges,
@@ -191,6 +192,19 @@ def test_cubic_output_is_valid_and_distinct():
         key = canonical_key(g)
         assert key not in seen
         seen.add(key)
+
+
+@pytest.mark.parametrize(
+    "family",
+    [lambda: enumerate_cubic(10), lambda: enumerate_graphs(6, 8, 2)],
+    ids=["cubic-10", "graphs-6-8-2"],
+)
+def test_stream_is_canonical_rows_in_increasing_order(family):
+    graphs = list(family())
+    for g in graphs:
+        assert g.rows == _decode_key(canonical_key(g))[0]
+    rows = [g.rows for g in graphs]
+    assert all(a < b for a, b in zip(rows, rows[1:]))
 
 
 def test_cubic_includes_named_graphs():
