@@ -72,8 +72,10 @@ def edge_augmentation(n: int, m: int) -> AugmentationTrace:
     rows = [0] * n
     steps = []
     prev_lam2 = None
+    # one eigh per step: the one taken after adding an edge gives that
+    # step's lambda2 and the next step's vector
+    vals, vecs = np.linalg.eigh(L)
     for _ in range(m):
-        vals, vecs = np.linalg.eigh(L)
         v = _fix_sign(vecs[:, 1])
         diff = np.abs(v[:, None] - v[None, :])
         diff[~upper | adj] = -1.0
@@ -87,7 +89,8 @@ def edge_augmentation(n: int, m: int) -> AugmentationTrace:
         L[i, j] = L[j, i] = -1.0
         L[i, i] += 1.0
         L[j, j] += 1.0
-        lam2 = float(np.linalg.eigvalsh(L)[1])
+        vals, vecs = np.linalg.eigh(L)
+        lam2 = float(vals[1])
         if prev_lam2 is not None and prev_lam2 > 1e-12 and lam2 < prev_lam2 - 1e-9:
             raise ArithmeticError(
                 f"connectivity decreased from {prev_lam2} to {lam2}"

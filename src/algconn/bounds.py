@@ -189,7 +189,11 @@ def basic_diameter_bound(t: Graph) -> float:
         raise ValueError("diameter bound applies to trees")
     if t.n < 2:
         raise ValueError("need n >= 2")
-    D = diameter(t)
+    return _path_bound(diameter(t))
+
+
+def _path_bound(D: int) -> float:
+    # connectivity of the path on D + 1 vertices
     return 2.0 - 2.0 * math.cos(math.pi / (D + 1))
 
 
@@ -273,8 +277,8 @@ def bound_report(g: Graph) -> BoundReport:
     tree = is_tree(g)
     d = max_degree(g)
     if tree and g.n >= 2:
-        add("diameter_path", basic_diameter_bound(g), True, True,
-            f"embedded path, D={diameter(g)}")
+        D = diameter(g)
+        add("diameter_path", _path_bound(D), True, True, f"embedded path, D={D}")
     else:
         add("diameter_path", None, False, True, "not a tree")
 

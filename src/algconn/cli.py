@@ -1,12 +1,12 @@
 """Command-line interface.
 
-Every subcommand reads graphs from one source grammar (``named:NAME``, a
-file of graph6 lines, or a graph6 literal), emits machine-readable output
-on stdout (JSON by default; CSV via ``--format csv``; the table-shaped
-``augment`` and ``compare`` commands default to CSV), and keeps all
-diagnostics on stderr.  Floats are printed with 12 significant digits.
-Output is identical across runs and thread counts; wall-clock time is
-only included when ``--timing`` is given.
+Every subcommand reads graphs from one source grammar (``named:NAME``, the
+first graph of a file of graph6 lines, or a graph6 literal), emits
+machine-readable output on stdout (JSON by default; CSV via ``--format
+csv``; the table-shaped ``augment`` and ``compare`` commands default to
+CSV), and keeps all diagnostics on stderr.  Floats are printed with 12
+significant digits.  Output is identical across runs and thread counts;
+wall-clock time is only included when ``--timing`` is given.
 
 Exit codes: 0 success (verify: exhaustive PASS), 1 usage or I/O error,
 2 verify FAIL, 3 verify PASS from sampling only.
@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import sys
@@ -27,7 +28,14 @@ import numpy as np
 from .augment import compare_families, edge_augmentation
 from .bounds import bound_report
 from .families import graph_from_spec, named_graph_names
-from .graphs import Graph, GraphFormatError, graph6_decode, graph6_encode
+from .graphs import (
+    Graph,
+    GraphFormatError,
+    graph6_decode,
+    graph6_encode,
+    max_degree,
+    read_graph6_file,
+)
 from .search import (
     enumerate_cubic,
     enumerate_graphs,
@@ -48,19 +56,17 @@ from .treetools import find_splitting_vertex, split_spectral_bound
 def _load_graph(source: str) -> Graph:
     """Resolve the shared graph-source grammar.
 
-    ``named:NAME`` | path to a file whose first non-comment line is graph6 |
-    graph6 literal.
+    ``named:NAME`` | path to a file of graph6 lines, of which the first graph
+    is used (every line must decode) | graph6 literal.
     """
     g = graph_from_spec(source)
     if g is not None:
         return g
     if os.path.exists(source):
-        with open(source, "r", encoding="ascii") as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    return graph6_decode(line)
-        raise GraphFormatError(f"no graph6 line found in {source!r}")
+        graphs = read_graph6_file(source)
+        if not graphs:
+            raise GraphFormatError(f"no graph6 line found in {source!r}")
+        return graphs[0]
     return graph6_decode(source)
 
 
@@ -141,17 +147,7 @@ def _cmd_lambda2(args):
 def _cmd_bounds(args):
     g = _load_graph(args.source)
     report = bound_report(g)
-    rows = [
-        {
-            "name": e.name,
-            "value": e.value,
-            "applicable": e.applicable,
-            "certified": e.certified,
-            "attained": e.attained,
-            "note": e.note,
-        }
-        for e in report.entries
-    ]
+    rows = [dataclasses.asdict(e) for e in report.entries]
     if args.format == "csv":
         results = rows
     else:
@@ -196,13 +192,7 @@ def _cmd_enumerate(args):
         outcome = maximize_lambda2(
             fam, threads=_threads(args), family_name=args.family
         )
-        results = {
-            "family": outcome.family,
-            "enumerated": outcome.enumerated,
-            "best_lambda2": outcome.best_lambda2,
-            "maximizers": list(outcome.maximizers),
-        }
-        return params, results, "json"
+        return params, dataclasses.asdict(outcome), "json"
     # plain stream: one graph6 line per graph, independent of --format
     for g in fam:
         print(graph6_encode(g))
@@ -227,22 +217,13 @@ def _cmd_verify(args):
         )
     else:
         rep = verify_conjecture_cubic(args.K)
-    results = {
-        "name": rep.name,
-        "params": rep.params,
-        "exhaustive": rep.exhaustive,
-        "checked": rep.checked,
-        "passed": rep.passed,
-        "detail": rep.detail,
-        "witnesses": list(rep.witnesses),
-    }
     if not rep.passed:
         code = 2
     elif rep.exhaustive:
         code = 0
     else:
         code = 3
-    return _echo_params(args), results, "json", code
+    return _echo_params(args), dataclasses.asdict(rep), "json", code
 
 
 def _cmd_augment(args):
@@ -259,21 +240,7 @@ def _cmd_compare(args):
     if not m_values:
         raise ValueError("--m-list needs at least one edge count")
     cmp = compare_families(args.n, m_values, threads=_threads(args))
-    rows = [
-        {
-            "m": r.m,
-            "augmented": r.augmented,
-            "bipartite_b": r.bipartite_b,
-            "bipartite": r.bipartite,
-            "regular_d": r.regular_d,
-            "regular_mean": r.regular_mean,
-            "regular_min": r.regular_min,
-            "regular_max": r.regular_max,
-            "regular_reference": r.regular_reference,
-            "note": r.note,
-        }
-        for r in cmp.rows
-    ]
+    rows = [dataclasses.asdict(r) for r in cmp.rows]
     return {"n": args.n, "m_list": m_values}, rows, "csv"
 
 
@@ -283,8 +250,6 @@ def _cmd_consensus(args):
     u0 = rng.standard_normal(g.n)
     lam2 = algebraic_connectivity(g)
     t_end = args.t_end if args.t_end is not None else 10.0 / lam2
-    from .graphs import max_degree
-
     dt = args.dt if args.dt is not None else 0.08 / (2.0 * max_degree(g))
     fit = consensus_decay_rate(g, u0, t_end, dt)
     results = {
@@ -309,7 +274,7 @@ def _build_parser() -> argparse.ArgumentParser:
         epilog=(
             "Graph sources: 'named:NAME' (one of: "
             + ", ".join(named_graph_names())
-            + "), a file of graph6 lines, or a graph6 literal."
+            + "), the first graph of a file of graph6 lines, or a graph6 literal."
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)

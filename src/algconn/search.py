@@ -10,6 +10,11 @@ deduplicates the state and gives the rows it is expanded from, and each
 isomorphism class of partial states is expanded once.  Keys of one family
 have fixed-width big-endian rows, so sorting keys sorts the graphs by their
 canonical rows.
+
+One sweep serves every check: the maximizer, the exhaustive and sampled
+conjecture checks and the cubic attainment check all take their lambda2
+values from ``_sweep``, which solves a family chunk by chunk through the
+batched eigensolver and yields the values in family order.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
+import random
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -25,16 +31,21 @@ from typing import Iterable, Iterator, Optional
 import numpy as np
 
 from . import _kernels
+from .bounds import tk_bound
+from .families import bethe_tree, complete_bipartite, named, random_tree
 from .graphs import (
     Graph,
     _bits,
     _canonical_graph,
     _components,
     _decode_key,
+    from_edges,
+    graph6_decode,
     graph6_encode,
     is_connected,
 )
-from .spectral import batched_lambda2, laplacian
+from .spectral import algebraic_connectivity, batched_lambda2, laplacian
+from .treetools import is_well_balanced
 
 TREE_MAX_N = 24
 CUBIC_MAX_N = 14
@@ -92,27 +103,27 @@ def _layout_to_graph(layout: tuple[int, ...]) -> Graph:
     return Graph(n, rows)
 
 
-def enumerate_trees(n: int, d_max: int) -> Iterator[Graph]:
-    """All unlabeled trees on n vertices with maximum degree <= d_max."""
+def _tree_family_nonempty(n: int, d_max: int) -> bool:
+    # the argument check of enumerate_trees and count_trees
     if not 1 <= n <= TREE_MAX_N:
         raise ValueError(f"tree enumeration supports 1 <= n <= {TREE_MAX_N}")
     if d_max < 1:
         raise ValueError("d_max must be >= 1")
-    if n > 2 and d_max < 2:
-        return
-    for layout in _kernels.free_tree_layouts(n, d_max):
-        yield _layout_to_graph(layout)
+    return n <= 2 or d_max >= 2
+
+
+def enumerate_trees(n: int, d_max: int) -> Iterator[Graph]:
+    """All unlabeled trees on n vertices with maximum degree <= d_max."""
+    if _tree_family_nonempty(n, d_max):
+        for layout in _kernels.free_tree_layouts(n, d_max):
+            yield _layout_to_graph(layout)
 
 
 def count_trees(n: int, d_max: int) -> int:
     """Number of unlabeled trees on n vertices with max degree <= d_max."""
-    if not 1 <= n <= TREE_MAX_N:
-        raise ValueError(f"tree enumeration supports 1 <= n <= {TREE_MAX_N}")
-    if d_max < 1:
-        raise ValueError("d_max must be >= 1")
-    if n > 2 and d_max < 2:
-        return 0
-    return _kernels.count_free_trees(n, d_max)
+    if _tree_family_nonempty(n, d_max):
+        return _kernels.count_free_trees(n, d_max)
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -268,79 +279,88 @@ def resolve_threads(threads: Optional[int] = None) -> int:
 _TIE_TOL = 1e-9
 
 
+def _sweep(family: Iterable[Graph], threads: int) -> Iterator[tuple[float, Graph]]:
+    """(lambda2, graph) for every graph of the family, in family order.
+
+    Graphs are solved in fixed-size chunks through the batched eigensolver,
+    one stacked solve per vertex count in a chunk.  Chunks may be solved on
+    worker threads; at most threads + 1 are in flight at once, so the
+    family is never held in memory whole, and results come back in
+    submission order.
+    """
+    it = iter(family)
+
+    def solve(block):
+        if any(g.n < 2 for g in block):
+            raise ValueError("lambda2 needs graphs with n >= 2")
+        # batch per vertex count: the stacked solver needs equal shapes
+        vals = [0.0] * len(block)
+        groups: dict[int, list[int]] = {}
+        for k, g in enumerate(block):
+            groups.setdefault(g.n, []).append(k)
+        for idx in groups.values():
+            lam2 = batched_lambda2(np.stack([laplacian(block[k]) for k in idx]))
+            for k, val in zip(idx, lam2.tolist()):
+                vals[k] = val
+        return list(zip(vals, block))
+
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        pending = deque()
+        while block := list(itertools.islice(it, _CHUNK)):
+            pending.append(pool.submit(solve, block))
+            if len(pending) > threads:
+                yield from pending.popleft().result()
+        while pending:
+            yield from pending.popleft().result()
+
+
 def maximize_lambda2(
     family: Iterable[Graph], threads: Optional[int] = None, family_name: str = ""
 ) -> SearchOutcome:
     """Largest algebraic connectivity over a family, with all maximizers.
 
-    Graphs are processed in fixed-size chunks through the batched
-    eigensolver.  Chunks may be solved on worker threads; at most
-    threads + 1 are in flight at once, so the family is never held in
-    memory whole, and they are merged in submission order.  Ties are
-    resolved by value within 1e-9 and then by canonical graph6 string, so
-    the outcome is independent of thread count.
+    The family goes through ``_sweep``.  Ties are resolved by value within
+    1e-9 and then by canonical graph6 string, so the outcome is independent
+    of thread count.
     """
-    threads = resolve_threads(threads)
-    it = iter(family)
-
-    def chunks():
-        while True:
-            block = list(itertools.islice(it, _CHUNK))
-            if not block:
-                return
-            yield block
-
-    def solve(block):
-        if any(g.n < 2 for g in block):
-            raise ValueError("maximization needs graphs with n >= 2")
-        # batch per vertex count: the stacked solver needs equal shapes
-        groups: dict[int, list[Graph]] = {}
-        for g in block:
-            groups.setdefault(g.n, []).append(g)
-        best = -math.inf
-        scored = []
-        for members in groups.values():
-            stack = np.stack([laplacian(g) for g in members])
-            lam2 = batched_lambda2(stack)
-            best = max(best, float(lam2.max()))
-            scored.extend(zip(lam2, members))
-        keep = [(float(val), g) for val, g in scored if val >= best - _TIE_TOL]
-        return len(block), best, keep
-
-    def solved():
-        # at most threads + 1 chunks in flight, results in submission order
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            pending = deque()
-            for block in chunks():
-                pending.append(pool.submit(solve, block))
-                if len(pending) > threads:
-                    yield pending.popleft().result()
-            while pending:
-                yield pending.popleft().result()
-
     total = 0
-    best = None
-    candidates = []
-    for count, chunk_best, keep in solved():
-        total += count
-        if best is None or chunk_best > best:
-            best = chunk_best
-        candidates.extend(keep)
-    if best is None:
+    best = -math.inf
+    candidates = []  # (lambda2, graph) within 1e-9 of the running best
+    for val, g in _sweep(family, resolve_threads(threads)):
+        total += 1
+        if val > best:
+            best = val
+            candidates = [c for c in candidates if c[0] >= best - _TIE_TOL]
+        if val >= best - _TIE_TOL:
+            candidates.append((val, g))
+    if not total:
         raise ValueError("empty family")
-    maximizers = sorted(
-        {
-            graph6_encode(_canonical_graph(g))
-            for val, g in candidates
-            if val >= best - _TIE_TOL
-        }
-    )
+    maximizers = sorted({graph6_encode(_canonical_graph(g)) for _, g in candidates})
     return SearchOutcome(
         family=family_name,
         enumerated=total,
         best_lambda2=best,
         maximizers=tuple(maximizers),
     )
+
+
+def _sampled_check(
+    draws: Iterator[Graph], samples: int, ref_val: float, threads: Optional[int]
+) -> tuple[int, float, list[str]]:
+    """Sweep the first `samples` draws against a reference value.
+
+    Returns how many graphs were checked, their largest lambda2, and the
+    canonical graph6 of every draw that beats ref_val by more than 1e-9.
+    """
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    checked, top, bad = 0, -math.inf, []
+    for val, g in _sweep(itertools.islice(draws, samples), resolve_threads(threads)):
+        checked += 1
+        top = max(top, val)
+        if val > ref_val + _TIE_TOL:
+            bad.append(graph6_encode(_canonical_graph(g)))
+    return checked, top, bad
 
 
 # ---------------------------------------------------------------------------
@@ -362,9 +382,6 @@ def verify_conjecture_k2(
     achieved by both K_{2,8} and the Petersen graph, and no seeded random
     member of the family beats it.
     """
-    from .families import complete_bipartite, named
-    from .spectral import algebraic_connectivity
-
     if not 5 <= n <= 10:
         raise ValueError("supported range is 5 <= n <= 10")
     m = 2 * (n - 2)
@@ -396,26 +413,19 @@ def verify_conjecture_k2(
             witnesses=witnesses,
         )
     # n == 10: sampled mode
-    import random as _random
-
     pet = named("petersen")
     pet_val = algebraic_connectivity(pet)
-    rng = _random.Random(seed)
+    rng = random.Random(seed)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    checked = 0
-    worst = None
-    bad = []
-    while checked < samples:
-        chosen = rng.sample(pairs, m)
-        g = Graph(10, _rows_from_pairs(10, chosen))
-        if min(r.bit_count() for r in g.rows) < 2 or not is_connected(g):
-            continue
-        checked += 1
-        val = algebraic_connectivity(g)
-        if worst is None or val > worst:
-            worst = val
-        if val > ref_val + _TIE_TOL:
-            bad.append(graph6_encode(_canonical_graph(g)))
+
+    def draws():
+        # rejection sampling: random m-edge graphs, kept when in the family
+        while True:
+            g = from_edges(n, rng.sample(pairs, m))
+            if min(r.bit_count() for r in g.rows) >= 2 and is_connected(g):
+                yield g
+
+    checked, top, bad = _sampled_check(draws(), samples, ref_val, threads)
     passed = (
         abs(ref_val - 2.0) <= _TIE_TOL
         and abs(pet_val - 2.0) <= _TIE_TOL
@@ -423,7 +433,7 @@ def verify_conjecture_k2(
     )
     detail = (
         f"sampled, not exhaustive: {checked} seeded members; sample max "
-        f"{worst:.12g}; K_(2,8) value {ref_val:.12g}; "
+        f"{top:.12g}; K_(2,8) value {ref_val:.12g}; "
         f"girth-5 cubic value {pet_val:.12g}"
     )
     return ConjectureReport(
@@ -435,14 +445,6 @@ def verify_conjecture_k2(
         detail=detail,
         witnesses=tuple(bad) if bad else (ref_g6, graph6_encode(_canonical_graph(pet))),
     )
-
-
-def _rows_from_pairs(n: int, pairs) -> tuple[int, ...]:
-    rows = [0] * n
-    for i, j in pairs:
-        rows[i] |= 1 << j
-        rows[j] |= 1 << i
-    return tuple(rows)
 
 
 def verify_conjecture_tree2(
@@ -460,11 +462,6 @@ def verify_conjecture_tree2(
     family of 2.5e5 trees is still enumerable and exhaustive mode may be
     requested explicitly, the default there being a seeded sample.
     """
-    from .families import bethe_tree, random_tree
-    from .graphs import graph6_decode
-    from .spectral import algebraic_connectivity
-    from .treetools import is_well_balanced
-
     ref = bethe_tree(d, K)
     n = ref.n
     if exhaustive is None:
@@ -500,28 +497,19 @@ def verify_conjecture_tree2(
             detail=detail,
             witnesses=outcome.maximizers,
         )
-    import random as _random
-
-    rng = _random.Random(seed)
-    worst = None
-    bad = []
-    for _ in range(samples):
-        t = random_tree(n, d, rng.randrange(10**9))
-        val = algebraic_connectivity(t)
-        if worst is None or val > worst:
-            worst = val
-        if val > ref_val + _TIE_TOL:
-            bad.append(graph6_encode(_canonical_graph(t)))
+    rng = random.Random(seed)
+    draws = (random_tree(n, d, rng.randrange(10**9)) for _ in itertools.count())
+    checked, top, bad = _sampled_check(draws, samples, ref_val, threads)
     passed = not bad
     detail = (
-        f"sampled, not exhaustive: {samples} seeded trees; sample max "
-        f"{worst:.12g}; balanced-tree value {ref_val:.12g}"
+        f"sampled, not exhaustive: {checked} seeded trees; sample max "
+        f"{top:.12g}; balanced-tree value {ref_val:.12g}"
     )
     return ConjectureReport(
         name="conjecture_tree2",
         params={"d": d, "K": K, "n": n, "samples": samples, "seed": seed},
         exhaustive=False,
-        checked=samples,
+        checked=checked,
         passed=passed,
         detail=detail,
         witnesses=tuple(sorted(set(bad))) if bad else (ref_g6,),
@@ -531,9 +519,6 @@ def verify_conjecture_tree2(
 def verify_conjecture_cubic(K: int) -> ConjectureReport:
     """The bound 3 - 2 sqrt(2) cos(pi/K) is attained by exactly one cubic
     graph on n = 2^(K+1) - 2 vertices, and no such graph exceeds it."""
-    from .bounds import tk_bound
-    from .spectral import algebraic_connectivity
-
     if K not in (2, 3):
         raise ValueError("supported levels are K = 2 and K = 3 (n <= 14)")
     n = 2 ** (K + 1) - 2
@@ -541,9 +526,8 @@ def verify_conjecture_cubic(K: int) -> ConjectureReport:
     checked = 0
     attainers = []
     violations = []
-    for g in enumerate_cubic(n):
+    for val, g in _sweep(enumerate_cubic(n), threads=1):
         checked += 1
-        val = algebraic_connectivity(g)
         if val > bound + _TIE_TOL:
             violations.append(graph6_encode(g))
         elif abs(val - bound) <= 1e-6:

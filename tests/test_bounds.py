@@ -304,6 +304,22 @@ def test_bound_report_tree():
     assert not by_name["tree_layered"].applicable  # max degree 2
 
 
+def test_bound_report_takes_the_diameter_once(monkeypatch):
+    import algconn.bounds
+
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return diameter(g)
+
+    monkeypatch.setattr(algconn.bounds, "diameter", counted)
+    for g in (bethe_tree(3, 3), path(7), named("heawood")):
+        calls.clear()
+        bound_report(g)
+        assert calls == [g]
+
+
 def test_bound_report_certified_entries_are_sound():
     rng = random.Random(31)
     graphs = [bethe_tree(3, 2), star(9), path(13), named("petersen")]

@@ -45,6 +45,11 @@ def test_lambda2_from_file(capsys, tmp_path):
     assert code == 0
     rec = json.loads(out)
     assert rec["results"]["n"] == 5  # first line wins
+    # every line must decode, not only the first
+    f.write_text(graph6_encode(path(5)) + "\nnot-graph6!!\n")
+    code, out, err = run_cli(capsys, "lambda2", str(f))
+    assert code == 1
+    assert out == "" and err.startswith("error:")
 
 
 def test_bounds_heawood(capsys):
@@ -164,6 +169,8 @@ def test_usage_errors_exit_1(capsys):
         ["enumerate", "trees"],
         ["enumerate", "graphs", "-n", "5"],
         ["verify", "k2", "-n", "99"],
+        ["verify", "k2", "-n", "10", "--samples", "0"],
+        ["verify", "tree2", "-d", "3", "-K", "3", "--samples", "-5"],
         ["augment", "-n", "1", "-m", "0"],
     ):
         code, out, err = run_cli(capsys, *argv)

@@ -54,6 +54,19 @@ def test_connectivity_arrives_at_tree_size_then_monotone():
     assert is_connected(tr.final)
 
 
+def test_one_eigendecomposition_per_step(monkeypatch):
+    calls = {"eigh": 0, "eigvalsh": 0}
+    for name in calls:
+
+        def counted(*args, _name=name, _solve=getattr(np.linalg, name), **kwargs):
+            calls[_name] += 1
+            return _solve(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    edge_augmentation(12, 30)
+    assert calls == {"eigh": 31, "eigvalsh": 0}  # m + 1 solves
+
+
 def test_no_duplicate_edges_and_determinism():
     tr1 = edge_augmentation(10, 25)
     tr2 = edge_augmentation(10, 25)

@@ -5,8 +5,18 @@ import random
 
 import pytest
 
-from algconn.families import bethe_tree, complete, complete_bipartite, named, path
+from algconn.families import (
+    bethe_tree,
+    complete,
+    complete_bipartite,
+    cycle,
+    named,
+    path,
+    random_tree,
+    star,
+)
 from algconn.graphs import (
+    Graph,
     _decode_key,
     canonical_form,
     canonical_key,
@@ -19,6 +29,7 @@ from algconn.graphs import (
 )
 from algconn.search import (
     ConjectureReport,
+    _sweep,
     count_trees,
     enumerate_cubic,
     enumerate_graphs,
@@ -282,8 +293,6 @@ def test_maximize_thread_invariance():
 
 def test_maximize_reports_all_tied_maximizers():
     # C4, K2 and K_{2,3} all have connectivity exactly 2; the star does not
-    from algconn.families import cycle, star
-
     fam = [cycle(4), path(2), complete_bipartite(5, 2), star(4)]
     outcome = maximize_lambda2(fam)
     assert outcome.enumerated == 4
@@ -292,6 +301,20 @@ def test_maximize_reports_all_tied_maximizers():
     assert list(outcome.maximizers) == sorted(outcome.maximizers)
     with pytest.raises(ValueError):
         maximize_lambda2([])
+
+
+def test_sweep_matches_per_graph_solve_in_family_order():
+    # mixed vertex counts in both chunks; 1,108 graphs span two chunks
+    mixed = [cycle(4), path(2), complete_bipartite(5, 2), star(4)]
+    trees = [random_tree(12 + s % 3, 3, s) for s in range(1100)]
+    family = mixed + trees + mixed
+    expect = [algebraic_connectivity(g) for g in family]
+    for threads in (1, 3):
+        swept = list(_sweep(iter(family), threads))
+        assert [g for _, g in swept] == family
+        assert [val for val, _ in swept] == expect  # bitwise equal
+    with pytest.raises(ValueError):
+        list(_sweep([path(3), Graph(1, [0])], 1))
 
 
 def test_resolve_threads_env(monkeypatch):
@@ -338,6 +361,17 @@ def test_verify_tree2_sampled():
     assert not rep.exhaustive
     assert rep.passed
     assert "sampled" in rep.detail
+
+
+def test_sampled_checks_need_a_sample():
+    for samples in (0, -5):
+        with pytest.raises(ValueError, match="samples must be >= 1"):
+            verify_conjecture_k2(10, samples=samples)
+        with pytest.raises(ValueError, match="samples must be >= 1"):
+            verify_conjecture_tree2(3, 3, samples=samples)
+    # exhaustive runs ignore the sample count
+    assert verify_conjecture_tree2(3, 2, samples=0).passed
+    assert verify_conjecture_k2(5, samples=0).passed
 
 
 def test_verify_cubic_k2():
