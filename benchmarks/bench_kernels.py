@@ -1,5 +1,10 @@
 """Compare the compiled kernels against the pure-Python reference.
 
+The canonical-labeling rows time one algorithm in two implementations.  The
+free-tree rows do not: the pure walk prunes every subtree of candidates whose
+prefix already breaks the degree cap, while the compiled walk visits every
+free tree and filters afterwards, so their ratio compares two algorithms.
+
 Run as:  python3 benchmarks/bench_kernels.py
 """
 
@@ -54,13 +59,16 @@ def main():
         cells = "".join(f"{t * 1e6:12.1f}us" for t in times)
         print(f"{label:34s}{cells}")
 
+    # two algorithms, not two implementations of one (see the module docstring)
+    walks = {"pure": "pure, pruned", "compiled": "compiled, unpruned"}
+    print(f"\n{'free trees':34s}" + "".join(f"{walks[name]:>22s}" for name, _ in impls))
     for n, dmax in [(14, 3), (16, 3), (18, 3)]:
         label = f"count_free_trees({n},{dmax})"
         times = []
         for _, mod in impls:
             reps = 20 if mod is not _pure else 2
             times.append(_time(lambda m=mod: m.count_free_trees(n, dmax), reps))
-        cells = "".join(f"{t * 1e3:12.2f}ms" for t in times)
+        cells = "".join(f"{t * 1e3:20.2f}ms" for t in times)
         print(f"{label:34s}{cells}")
 
     if _speedups is not None:

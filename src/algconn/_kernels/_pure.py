@@ -202,7 +202,18 @@ def canon_key(n, rows, colors=None):
 # A tree on n vertices is a layout ``(0, l1, ..., l_{n-1})`` where entry i is
 # the depth of vertex i in a preorder walk.  The successor scheme enumerates
 # every free (unrooted, unlabeled) tree exactly once via its canonical rooted
-# representation.
+# representation, visiting rooted sequences in reverse-lexicographic order.
+#
+# The walk is pruned by degree prefix.  Whether vertex i's arrival gives its
+# parent more than dmax neighbours depends on layout[:i+1] alone, so when it
+# does, every later rooted sequence with that prefix breaks the cap too; in
+# reverse-lexicographic order they are exactly the sequences before
+# ``_next_rooted_tree(layout, i)``, and the walk jumps there.  The jump lands
+# on a sequence the unpruned walk may never visit, and ``_next_free_tree``'s
+# own skip is only valid from sequences that walk visits (it returns its skip
+# target unchecked), so after a jump the walk steps until a free-canonical
+# sequence is reached.  The yielded layouts and their order are those of the
+# unpruned walk filtered by maximum degree.
 # ---------------------------------------------------------------------------
 
 
@@ -271,18 +282,23 @@ def _next_free_tree(candidate):
     return new_candidate
 
 
-def _layout_max_degree(layout):
+def _first_over_cap(layout, dmax):
+    """First i whose arrival gives its parent more than dmax neighbours, or -1.
+
+    A vertex's neighbours are its children plus, below the root, its parent.
+    """
     n = len(layout)
+    last = [0] * n  # last[k]: latest vertex at depth k
     deg = [0] * n
-    stack = [0]
     for i in range(1, n):
         lev = layout[i]
-        del stack[lev:]
-        parent = stack[lev - 1]
+        parent = last[lev - 1]
         deg[parent] += 1
-        deg[i] += 1
-        stack.append(i)
-    return max(deg)
+        if deg[parent] > dmax:
+            return i
+        deg[i] = 1
+        last[lev] = i
+    return -1
 
 
 def free_tree_layouts(n, dmax):
@@ -305,9 +321,19 @@ def free_tree_layouts(n, dmax):
         layout = _next_free_tree(layout)
         if layout is None:
             return
-        if _layout_max_degree(layout) <= dmax:
+        i = _first_over_cap(layout, dmax)
+        if i < 0:
             yield tuple(layout)
-        layout = _next_rooted_tree(layout)
+            layout = _next_rooted_tree(layout)
+            continue
+        # skip every sequence with the prefix layout[:i+1]; a root child
+        # cannot be decremented, and the later sequences that share the
+        # prefix up to the last deeper vertex also share it up to i
+        while layout[i] == 1:
+            i -= 1
+        layout = _next_rooted_tree(layout, i)
+        while layout is not None and not _is_free_canonical(layout):
+            layout = _next_free_tree(layout)
 
 
 def count_free_trees(n, dmax):

@@ -37,6 +37,7 @@ from .graphs import (
     read_graph6_file,
 )
 from .search import (
+    DEFAULT_SAMPLES,
     enumerate_cubic,
     enumerate_graphs,
     enumerate_trees,
@@ -122,9 +123,15 @@ def _threads(args) -> Optional[int]:
     return os.cpu_count() or 1
 
 
-def _echo_params(args) -> dict:
-    skip = {"func", "command", "format", "timing", "threads"}
-    return {k: v for k, v in vars(args).items() if k not in skip}
+# the verify options each check reads; samples and seed only when sampled
+_VERIFY_READS = {"k2": ("n",), "tree2": ("d", "K", "exhaustive"), "cubic": ("K",)}
+
+
+def _echo_params(args, sampled: bool) -> dict:
+    keep = {"conjecture", *_VERIFY_READS[args.conjecture]}
+    if sampled:
+        keep |= {"samples", "seed"}
+    return {k: v for k, v in vars(args).items() if k in keep}
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +230,8 @@ def _cmd_verify(args):
         code = 0
     else:
         code = 3
-    return _echo_params(args), dataclasses.asdict(rep), "json", code
+    params = _echo_params(args, sampled=not rep.exhaustive)
+    return params, dataclasses.asdict(rep), "json", code
 
 
 def _cmd_augment(args):
@@ -323,7 +331,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-n", type=int, default=8, help="vertex count (k2)")
     p.add_argument("-d", type=int, default=3, help="degree (tree2)")
     p.add_argument("-K", type=int, default=2, help="depth (tree2, cubic)")
-    p.add_argument("--samples", type=int, default=200)
+    p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--exhaustive", action="store_true")
     common(p)

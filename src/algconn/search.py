@@ -28,8 +28,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
-import numpy as np
-
 from . import _kernels
 from .bounds import tk_bound
 from .families import bethe_tree, complete_bipartite, named, random_tree
@@ -44,7 +42,7 @@ from .graphs import (
     graph6_encode,
     is_connected,
 )
-from .spectral import algebraic_connectivity, batched_lambda2, laplacian
+from .spectral import algebraic_connectivity, batched_lambda2, laplacian_stack
 from .treetools import is_well_balanced
 
 TREE_MAX_N = 24
@@ -52,6 +50,9 @@ CUBIC_MAX_N = 14
 GRAPH_MAX_N = 10
 
 _CHUNK = 1024
+
+# draws of a sampled conjecture check, for the library and the CLI alike
+DEFAULT_SAMPLES = 200
 
 
 @dataclass(frozen=True)
@@ -299,7 +300,7 @@ def _sweep(family: Iterable[Graph], threads: int) -> Iterator[tuple[float, Graph
         for k, g in enumerate(block):
             groups.setdefault(g.n, []).append(k)
         for idx in groups.values():
-            lam2 = batched_lambda2(np.stack([laplacian(block[k]) for k in idx]))
+            lam2 = batched_lambda2(laplacian_stack([block[k] for k in idx]))
             for k, val in zip(idx, lam2.tolist()):
                 vals[k] = val
         return list(zip(vals, block))
@@ -370,7 +371,7 @@ def _sampled_check(
 
 def verify_conjecture_k2(
     n: int,
-    samples: int = 300,
+    samples: int = DEFAULT_SAMPLES,
     seed: int = 0,
     threads: Optional[int] = None,
 ) -> ConjectureReport:
@@ -451,7 +452,7 @@ def verify_conjecture_tree2(
     d: int,
     K: int,
     exhaustive: Optional[bool] = None,
-    samples: int = 200,
+    samples: int = DEFAULT_SAMPLES,
     seed: int = 0,
     threads: Optional[int] = None,
 ) -> ConjectureReport:

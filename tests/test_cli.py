@@ -1,5 +1,6 @@
 """CLI: output shapes, exit codes, determinism."""
 
+import inspect
 import json
 import math
 import subprocess
@@ -7,9 +8,14 @@ import sys
 
 import pytest
 
-from algconn.cli import main
+from algconn.cli import _build_parser, main
 from algconn.families import path
 from algconn.graphs import graph6_decode, graph6_encode
+from algconn.search import (
+    DEFAULT_SAMPLES,
+    verify_conjecture_k2,
+    verify_conjecture_tree2,
+)
 
 
 def run_cli(capsys, *argv):
@@ -123,6 +129,36 @@ def test_verify_exit_codes(capsys):
 
     code, _, _ = run_cli(capsys, "verify", "tree2", "-d", "3", "-K", "2")
     assert code == 0
+
+
+def test_verify_echoes_only_the_options_it_reads(capsys):
+    _, out, _ = run_cli(capsys, "verify", "cubic", "-K", "2")
+    assert json.loads(out)["parameters"] == {"conjecture": "cubic", "K": 2}
+
+    _, out, _ = run_cli(capsys, "verify", "k2", "-n", "10", "--samples", "5")
+    assert json.loads(out)["parameters"] == {
+        "conjecture": "k2",
+        "n": 10,
+        "samples": 5,
+        "seed": 0,
+    }
+
+    # exhaustive: the sample options are not read, so not echoed
+    _, out, _ = run_cli(capsys, "verify", "tree2", "-d", "3", "-K", "2")
+    assert json.loads(out)["parameters"] == {
+        "conjecture": "tree2",
+        "d": 3,
+        "K": 2,
+        "exhaustive": False,
+    }
+
+
+def test_samples_default_is_the_library_default():
+    parser = _build_parser()
+    args = parser.parse_args(["verify", "k2"])
+    for fn in (verify_conjecture_k2, verify_conjecture_tree2):
+        default = inspect.signature(fn).parameters["samples"].default
+        assert args.samples == default == DEFAULT_SAMPLES
 
 
 def test_augment_csv(capsys):

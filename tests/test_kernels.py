@@ -3,7 +3,9 @@
 The compiled side is the in-tree extension when one is importable.
 Otherwise the committed ``_speedups.c`` is compiled into a temporary
 directory and loaded from there, so the cross-checks run wherever a C
-compiler and the Python headers are present.
+compiler and the Python headers are present.  The pure free-tree walk,
+which prunes by degree prefix, is itself checked against the unpruned walk
+kept here, with no compiler needed.
 """
 
 import importlib.util
@@ -105,9 +107,58 @@ def test_key_byte_layout(sp):
     assert sp.canon_key(3, rows) == expect
 
 
+def _unpruned_tree_layouts(n, dmax):
+    # the walk before degree pruning: every free tree, filtered afterwards
+    if n <= 2 or dmax < 2:
+        yield from _pure.free_tree_layouts(n, dmax)
+        return
+    layout = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))
+    while layout is not None:
+        layout = _pure._next_free_tree(layout)
+        if layout is None:
+            return
+        if _max_degree(layout) <= dmax:
+            yield tuple(layout)
+        layout = _pure._next_rooted_tree(layout)
+
+
+def _max_degree(layout):
+    deg = [0] * len(layout)
+    last = {}
+    for i, lev in enumerate(layout):
+        if lev:
+            deg[last[lev - 1]] += 1
+            deg[i] += 1
+        last[lev] = i
+    return max(deg)
+
+
+def test_pruned_tree_walk_matches_unpruned():
+    for n in range(1, 17):
+        for dmax in sorted({1, 2, 3, 4, 5, n}):
+            pruned = list(_pure.free_tree_layouts(n, dmax))
+            assert pruned == list(_unpruned_tree_layouts(n, dmax)), (n, dmax)
+
+
+def test_pruned_tree_walk_work_bound(monkeypatch):
+    # the unpruned walk visits 19,320 free trees at n = 16 to keep 2,410
+    calls = 0
+    step = _pure._next_free_tree
+
+    def counted(layout):
+        nonlocal calls
+        calls += 1
+        return step(layout)
+
+    monkeypatch.setattr(_pure, "_next_free_tree", counted)
+    trees = sum(1 for _ in _pure.free_tree_layouts(16, 3))
+    assert trees == 2410
+    assert calls <= 3 * trees
+
+
 def test_tree_layouts_identical(sp):
-    for n in range(1, 15):
-        for dmax in (1, 2, 3, n):
+    for n in range(1, 19):
+        for dmax in sorted({1, 2, 3, 4, n}):
             a = list(_pure.free_tree_layouts(n, dmax))
             b = list(sp.free_tree_layouts(n, dmax))
             assert a == b, (n, dmax)

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from algconn.families import random_tree
 from algconn.graphs import from_edges
 from algconn.spectral import (
     algebraic_connectivity,
@@ -16,6 +17,7 @@ from algconn.spectral import (
     fiedler_vector,
     laplacian,
     laplacian_spectrum,
+    laplacian_stack,
     modified_lambda,
     modified_rayleigh_quotient,
     rayleigh_quotient,
@@ -62,6 +64,37 @@ def test_laplacian_structure():
     L = laplacian(g)
     assert np.array_equal(L, [[1, -1, 0], [-1, 2, -1], [0, -1, 1]])
     assert np.allclose(L.sum(axis=1), 0)
+
+
+def _laplacian_per_edge(g):
+    # the assembly loop laplacian_stack replaced, kept as its reference
+    L = np.zeros((g.n, g.n))
+    for i, j in g.edges():
+        L[i, j] = L[j, i] = -1.0
+        L[i, i] += 1.0
+        L[j, j] += 1.0
+    return L
+
+
+def test_laplacian_stack_is_bitwise_the_per_edge_loop():
+    rng = random.Random(8)
+    families = [[from_edges(1, [])], [random_tree(94, 3, s) for s in range(20)]]
+    for n in (2, 7, 8, 9, 20, 64, 65):
+        families.append([_random_connected(rng, n) for _ in range(5)])
+    for gs in families:
+        want = np.stack([_laplacian_per_edge(g) for g in gs])
+        got = laplacian_stack(gs)
+        # tobytes compares the signs of zeros too
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert laplacian(gs[0]).tobytes() == want[0].tobytes()
+
+
+def test_laplacian_stack_rejects_mixed_or_no_graphs():
+    with pytest.raises(ValueError):
+        laplacian_stack([_path(3), _path(4)])
+    with pytest.raises(ValueError):
+        laplacian_stack([])
 
 
 def test_spectrum_closed_forms():
