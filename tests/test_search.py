@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from algconn import _kernels
 from algconn.families import (
     bethe_tree,
     complete,
@@ -66,10 +67,36 @@ def _prufer_decode(n, seq):
     return edges
 
 
+def _tree_code(n, edges):
+    # AHU encoding rooted at the centre; a bicentral tree takes the smaller
+    # of its two rootings, so isomorphic trees get equal codes
+    adj = [[] for _ in range(n)]
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    deg = [len(nbrs) for nbrs in adj]
+    layer = [v for v in range(n) if deg[v] <= 1]
+    left = n
+    while left > 2:  # peel the leaves until the centre or bicentre is left
+        left -= len(layer)
+        peeled = []
+        for v in layer:
+            for w in adj[v]:
+                deg[w] -= 1
+                if deg[w] == 1:
+                    peeled.append(w)
+        layer = peeled
+
+    def code(v, parent):
+        return "(" + "".join(sorted(code(w, v) for w in adj[v] if w != parent)) + ")"
+
+    return min(code(c, -1) for c in layer)
+
+
 def _tree_classes_prufer(n, d_max):
     # every labeled tree once via its Prufer sequence, filtered by degree,
-    # bucketed by canonical key
-    keys = set()
+    # bucketed by a tree canonical form that shares no code with the kernels
+    codes = set()
     for seq in itertools.product(range(n), repeat=n - 2):
         deg = [1] * n
         ok = True
@@ -80,8 +107,8 @@ def _tree_classes_prufer(n, d_max):
                 break
         if not ok:
             continue
-        keys.add(canonical_key(from_edges(n, _prufer_decode(n, seq))))
-    return len(keys)
+        codes.add(_tree_code(n, _prufer_decode(n, seq)))
+    return len(codes)
 
 
 def _graph_classes_bitmask(n, m, min_degree):
@@ -207,8 +234,12 @@ def test_cubic_output_is_valid_and_distinct():
 
 @pytest.mark.parametrize(
     "family",
-    [lambda: enumerate_cubic(10), lambda: enumerate_graphs(6, 8, 2)],
-    ids=["cubic-10", "graphs-6-8-2"],
+    [
+        lambda: enumerate_cubic(10),
+        lambda: enumerate_graphs(6, 8, 2),
+        lambda: enumerate_graphs(7, 9, 1),  # 107 graphs over many degree sequences
+    ],
+    ids=["cubic-10", "graphs-6-8-2", "graphs-7-9-1"],
 )
 def test_stream_is_canonical_rows_in_increasing_order(family):
     graphs = list(family())
@@ -242,6 +273,29 @@ def test_graph_counts_match_bitmask_oracle():
     assert len(list(enumerate_graphs(5, 6, 2))) == _graph_classes_bitmask(5, 6, 2)
     assert len(list(enumerate_graphs(5, 5, 0))) == _graph_classes_bitmask(5, 5, 0)
     assert len(list(enumerate_graphs(4, 6, 2))) == 1  # K_4
+    # families that span several degree sequences, with degree floors 0 and 1
+    assert len(list(enumerate_graphs(6, 7, 1))) == _graph_classes_bitmask(6, 7, 1)
+    assert len(list(enumerate_graphs(6, 6, 1))) == _graph_classes_bitmask(6, 6, 1)
+    assert len(list(enumerate_graphs(5, 4, 0))) == _graph_classes_bitmask(5, 4, 0)
+    assert list(enumerate_graphs(1, 0)) == [Graph(1, [0])]
+    assert list(enumerate_graphs(2, 1)) == [path(2)]
+
+
+def test_graph_enumeration_work_bound(monkeypatch):
+    # one labeling per distinct partial state (5,757 calls here); labeling
+    # every candidate edge of every partial graph takes 66 per graph
+    calls = 0
+    key = _kernels.canon_key
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return key(*args)
+
+    monkeypatch.setattr(_kernels, "canon_key", counted)
+    graphs = sum(1 for _ in enumerate_graphs(8, 12, 2))
+    assert graphs == 513
+    assert calls <= 16 * graphs
 
 
 def test_graph_enumeration_contains_expected_members():
@@ -259,6 +313,8 @@ def test_graph_enumeration_rejects_bad_input():
         list(enumerate_graphs(5, 11, 0))
     with pytest.raises(ValueError):
         list(enumerate_graphs(5, 3, 2))  # degree floor infeasible
+    with pytest.raises(ValueError):
+        list(enumerate_graphs(1, 0, 1))
 
 
 # ---------------------------------------------------------------------------
