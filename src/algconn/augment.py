@@ -18,6 +18,7 @@ import numpy as np
 
 from .families import random_regular
 from .graphs import Graph
+from .search import resolve_threads
 from .spectral import _fix_sign, algebraic_connectivity
 
 
@@ -168,9 +169,6 @@ def compare_families(
             note=note,
         )
 
-    if threads is not None and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = tuple(pool.map(row, m_values))
-    else:
-        rows = tuple(row(m) for m in m_values)
+    with ThreadPoolExecutor(max_workers=resolve_threads(threads)) as pool:
+        rows = tuple(pool.map(row, m_values))
     return FamilyComparison(n=n, rows=rows)

@@ -115,14 +115,6 @@ def _emit(command: str, params: dict, results, fmt: str, wall: Optional[float]):
         writer.writerow(cells)
 
 
-def _threads(args) -> Optional[int]:
-    if args.threads is not None:
-        return args.threads
-    if os.environ.get("ALGCONN_THREADS"):
-        return None  # let the library read the env var
-    return os.cpu_count() or 1
-
-
 # the verify options each check reads; samples and seed only when sampled
 _VERIFY_READS = {"k2": ("n",), "tree2": ("d", "K", "exhaustive"), "cubic": ("K",)}
 
@@ -197,7 +189,7 @@ def _cmd_enumerate(args):
         }
     if args.max_lambda2:
         outcome = maximize_lambda2(
-            fam, threads=_threads(args), family_name=args.family
+            fam, threads=args.threads, family_name=args.family
         )
         return params, dataclasses.asdict(outcome), "json"
     # plain stream: one graph6 line per graph, independent of --format
@@ -207,11 +199,8 @@ def _cmd_enumerate(args):
 
 
 def _cmd_verify(args):
-    threads = _threads(args)
     if args.conjecture == "k2":
-        rep = verify_conjecture_k2(
-            args.n, samples=args.samples, seed=args.seed, threads=threads
-        )
+        rep = verify_conjecture_k2(args.n, threads=args.threads)
     elif args.conjecture == "tree2":
         exhaustive = True if args.exhaustive else None
         rep = verify_conjecture_tree2(
@@ -220,7 +209,7 @@ def _cmd_verify(args):
             exhaustive=exhaustive,
             samples=args.samples,
             seed=args.seed,
-            threads=threads,
+            threads=args.threads,
         )
     else:
         rep = verify_conjecture_cubic(args.K)
@@ -247,7 +236,7 @@ def _cmd_compare(args):
     m_values = [int(tok) for tok in args.m_list.split(",") if tok]
     if not m_values:
         raise ValueError("--m-list needs at least one edge count")
-    cmp = compare_families(args.n, m_values, threads=_threads(args))
+    cmp = compare_families(args.n, m_values, threads=args.threads)
     rows = [dataclasses.asdict(r) for r in cmp.rows]
     return {"n": args.n, "m_list": m_values}, rows, "csv"
 

@@ -157,8 +157,8 @@ def _layers(rows, start: int, within: int = -1) -> Iterator[int]:
 
     ``rows`` are adjacency bitmasks (a Graph's or a partial search state's),
     and only vertices in the bitmask ``within`` are entered.  The package's
-    bitmask walks (connectivity, distances, components, tree sides) are all
-    built on this one frontier loop.
+    bitmask walks (connectivity, distances, girth, components, tree sides)
+    are all built on this one frontier loop.
     """
     seen = frontier = start
     while frontier:
@@ -216,36 +216,25 @@ def diameter(g: Graph) -> int:
 def girth(g: Graph) -> Optional[int]:
     """Length of a shortest cycle, or None when the graph is acyclic.
 
-    One BFS per root; every non-tree edge (u, w) seen from root r yields a
-    closed walk of length dist(u) + dist(w) + 1 containing a cycle no longer
-    than that, and for r on a shortest cycle the bound is attained.
+    From each root, walk the breadth-first layers: a vertex of layer k with
+    two neighbours in layer k - 1 closes a walk of length 2k, and one with a
+    neighbour in its own layer a walk of length 2k + 1.  Each such walk
+    contains a cycle no longer than itself, and for a root on a shortest
+    cycle the bound is attained.
     """
-    best = None
+    best = g.n + 1  # longer than any cycle
     for r in range(g.n):
-        dist = [-1] * g.n
-        parent = [-1] * g.n
-        dist[r] = 0
-        queue = [r]
-        head = 0
-        while head < len(queue):
-            u = queue[head]
-            head += 1
-            if best is not None and 2 * dist[u] >= best:
+        prev = 0
+        for k, layer in enumerate(_layers(g.rows, 1 << r)):
+            if 2 * k >= best:
                 break
-            row = g.rows[u]
-            while row:
-                low = row & -row
-                w = low.bit_length() - 1
-                row ^= low
-                if dist[w] < 0:
-                    dist[w] = dist[u] + 1
-                    parent[w] = u
-                    queue.append(w)
-                elif w != parent[u]:
-                    cand = dist[u] + dist[w] + 1
-                    if best is None or cand < best:
-                        best = cand
-    return best
+            for u in _bits(layer):
+                if g.rows[u] & layer:
+                    best = min(best, 2 * k + 1)
+                if (g.rows[u] & prev).bit_count() >= 2:
+                    best = min(best, 2 * k)
+            prev = layer
+    return best if best <= g.n else None
 
 
 # ---------------------------------------------------------------------------

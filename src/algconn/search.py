@@ -13,10 +13,10 @@ isomorphism class of partial states is expanded once.  Final keys have
 all-zero colours and fixed-width big-endian rows, so sorting them sorts the
 graphs by their canonical rows, across degree sequences too.
 
-One sweep serves every check: the maximizer, the exhaustive and sampled
-conjecture checks and the cubic attainment check all take their lambda2
-values from ``_sweep``, which solves a family chunk by chunk through the
-batched eigensolver and yields the values in family order.
+One sweep serves every check: the maximizer, the exhaustive conjecture
+checks, the sampled tree check and the cubic attainment check all take their
+lambda2 values from ``_sweep``, which solves a family chunk by chunk through
+the batched eigensolver and yields the values in family order.
 """
 
 from __future__ import annotations
@@ -31,17 +31,15 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
 from . import _kernels
-from .bounds import tk_bound
-from .families import bethe_tree, complete_bipartite, named, random_tree
+from .bounds import ATTAINED_TOL, tk_bound
+from .families import bethe_tree, complete_bipartite, random_tree
 from .graphs import (
     Graph,
     _canonical_graph,
     _components,
     _decode_key,
-    from_edges,
     graph6_decode,
     graph6_encode,
-    is_connected,
 )
 from .spectral import algebraic_connectivity, batched_lambda2, laplacian_stack
 from .treetools import is_well_balanced
@@ -250,6 +248,8 @@ def enumerate_graphs(n: int, m: int, min_degree: int = 0) -> Iterator[Graph]:
 
 
 def resolve_threads(threads: Optional[int] = None) -> int:
+    """Worker threads for a sweep: the argument, else ALGCONN_THREADS, else
+    one per CPU.  The library and the CLI share this default."""
     if threads is not None:
         if threads < 1:
             raise ValueError("threads must be >= 1")
@@ -260,7 +260,7 @@ def resolve_threads(threads: Optional[int] = None) -> int:
         if val < 1:
             raise ValueError("ALGCONN_THREADS must be >= 1")
         return val
-    return 1
+    return os.cpu_count() or 1
 
 
 _TIE_TOL = 1e-9
@@ -331,106 +331,58 @@ def maximize_lambda2(
     )
 
 
-def _sampled_check(
-    draws: Iterator[Graph], samples: int, ref_val: float, threads: Optional[int]
-) -> tuple[int, float, list[str]]:
-    """Sweep the first `samples` draws against a reference value.
-
-    Returns how many graphs were checked, their largest lambda2, and the
-    canonical graph6 of every draw that beats ref_val by more than 1e-9.
-    """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    checked, top, bad = 0, -math.inf, []
-    for val, g in _sweep(itertools.islice(draws, samples), resolve_threads(threads)):
-        checked += 1
-        top = max(top, val)
-        if val > ref_val + _TIE_TOL:
-            bad.append(graph6_encode(_canonical_graph(g)))
-    return checked, top, bad
-
-
 # ---------------------------------------------------------------------------
 # conjecture verification
 # ---------------------------------------------------------------------------
 
 
-def verify_conjecture_k2(
-    n: int,
-    samples: int = DEFAULT_SAMPLES,
-    seed: int = 0,
-    threads: Optional[int] = None,
-) -> ConjectureReport:
+def verify_conjecture_k2(n: int, threads: Optional[int] = None) -> ConjectureReport:
     """K_{2,n-2} maximizes connectivity among connected graphs with
     m = 2(n-2) edges and minimum degree 2.
 
-    Exhaustive for n <= 9.  The family grows from 5,553 graphs at n = 9
-    to 77,898 at n = 10, so at n = 10 the check degrades to: the reference
-    value 2 is achieved by both K_{2,8} and the Petersen graph, and no
-    seeded random member of the family beats it.
+    Exhaustive for every supported n.  For n <= 9 the whole family is
+    solved (5,553 graphs at n = 9).  At n = 10 the family has 77,898
+    graphs, but for a non-complete graph lambda2 <= vertex connectivity <=
+    minimum degree (M. Fiedler, "Algebraic connectivity of graphs", Czech.
+    Math. J. 23, 1973), so no member of minimum degree 2 exceeds
+    lambda2(K_{2,8}) = 2.  Only the members of minimum degree >= 3 are
+    solved there, with K_{2,8} beside them.  The witnesses are then K_{2,8}
+    and the minimum-degree-3 graphs that tie it; members of minimum degree 2
+    that also reach 2 are not listed.
     """
     if not 5 <= n <= 10:
         raise ValueError("supported range is 5 <= n <= 10")
     m = 2 * (n - 2)
+    floor = 2 if n <= 9 else 3
     ref = complete_bipartite(n, 2)
     ref_val = algebraic_connectivity(ref)  # = 2 for n >= 4
     ref_g6 = graph6_encode(_canonical_graph(ref))
-    if n <= 9:
-        outcome = maximize_lambda2(
-            enumerate_graphs(n, m, min_degree=2),
-            threads=threads,
-            family_name=f"graphs(n={n}, m={m}, min_degree=2)",
+    # above a floor of 2 the reference is not a member: sweep it beside them
+    extra = [ref] if floor > 2 else []
+    family = itertools.chain(extra, enumerate_graphs(n, m, floor))
+    outcome = maximize_lambda2(family, threads=threads)
+    checked = outcome.enumerated - len(extra)
+    sound = outcome.best_lambda2 <= ref_val + _TIE_TOL
+    hit = ref_g6 in outcome.maximizers
+    over = f"{checked} graphs"
+    if floor > 2:
+        over = (
+            f"K_(2,{n - 2}) and the {checked} members of minimum degree >= 3 "
+            f"(Fiedler: lambda2 <= minimum degree, so no member of minimum "
+            f"degree 2 exceeds 2)"
         )
-        sound = outcome.best_lambda2 <= ref_val + _TIE_TOL
-        hit = ref_g6 in outcome.maximizers
-        passed = sound and hit
-        witnesses = outcome.maximizers
-        detail = (
-            f"max lambda2 = {outcome.best_lambda2:.12g} over "
-            f"{outcome.enumerated} graphs; reference {ref_val:.12g}; "
-            f"K_(2,{n - 2}) among maximizers: {hit}"
-        )
-        return ConjectureReport(
-            name="conjecture_k2",
-            params={"n": n, "m": m, "min_degree": 2},
-            exhaustive=True,
-            checked=outcome.enumerated,
-            passed=passed,
-            detail=detail,
-            witnesses=witnesses,
-        )
-    # n == 10: sampled mode
-    pet = named("petersen")
-    pet_val = algebraic_connectivity(pet)
-    rng = random.Random(seed)
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-
-    def draws():
-        # rejection sampling: random m-edge graphs, kept when in the family
-        while True:
-            g = from_edges(n, rng.sample(pairs, m))
-            if min(r.bit_count() for r in g.rows) >= 2 and is_connected(g):
-                yield g
-
-    checked, top, bad = _sampled_check(draws(), samples, ref_val, threads)
-    passed = (
-        abs(ref_val - 2.0) <= _TIE_TOL
-        and abs(pet_val - 2.0) <= _TIE_TOL
-        and not bad
-    )
     detail = (
-        f"sampled, not exhaustive: {checked} seeded members; sample max "
-        f"{top:.12g}; K_(2,8) value {ref_val:.12g}; "
-        f"girth-5 cubic value {pet_val:.12g}"
+        f"max lambda2 = {outcome.best_lambda2:.12g} over {over}; "
+        f"reference {ref_val:.12g}; K_(2,{n - 2}) among maximizers: {hit}"
     )
     return ConjectureReport(
         name="conjecture_k2",
-        params={"n": n, "m": m, "min_degree": 2, "samples": samples, "seed": seed},
-        exhaustive=False,
+        params={"n": n, "m": m, "min_degree": floor},
+        exhaustive=True,
         checked=checked,
-        passed=passed,
+        passed=sound and hit,
         detail=detail,
-        witnesses=tuple(bad) if bad else (ref_g6, graph6_encode(_canonical_graph(pet))),
+        witnesses=outcome.maximizers,
     )
 
 
@@ -484,9 +436,16 @@ def verify_conjecture_tree2(
             detail=detail,
             witnesses=outcome.maximizers,
         )
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
     rng = random.Random(seed)
-    draws = (random_tree(n, d, rng.randrange(10**9)) for _ in itertools.count())
-    checked, top, bad = _sampled_check(draws, samples, ref_val, threads)
+    draws = (random_tree(n, d, rng.randrange(10**9)) for _ in range(samples))
+    checked, top, bad = 0, -math.inf, []
+    for val, g in _sweep(draws, resolve_threads(threads)):
+        checked += 1
+        top = max(top, val)
+        if val > ref_val + _TIE_TOL:
+            bad.append(graph6_encode(_canonical_graph(g)))
     passed = not bad
     detail = (
         f"sampled, not exhaustive: {checked} seeded trees; sample max "
@@ -517,7 +476,7 @@ def verify_conjecture_cubic(K: int) -> ConjectureReport:
         checked += 1
         if val > bound + _TIE_TOL:
             violations.append(graph6_encode(g))
-        elif abs(val - bound) <= 1e-6:
+        elif abs(val - bound) <= ATTAINED_TOL:
             attainers.append(graph6_encode(g))
     passed = not violations and len(attainers) == 1
     detail = (

@@ -11,7 +11,7 @@ _TITLES = {
     4: "girth-bound soundness; diameter-formula comparison",
     5: "tree-bound soundness, exhaustive and random",
     6: "balanced-tree maximizers; certified value; n=23 census",
-    7: "K_{2,n-2} optimality, exhaustive n<=9, sampled n=10",
+    7: "K_{2,n-2} optimality, exhaustive n<=10 (Fiedler-reduced at 10)",
     8: "augmentation thresholds and degree outlier",
     9: "consensus decay matches lambda2 within 2%",
     10: "round-trip, canonical invariance, thread invariance",

@@ -234,11 +234,21 @@ def test_criterion_07_k2_conjecture_desk_scale():
             canonical_key(graph6_decode(s)) for s in outcome.maximizers
         }
         assert ref_key in winner_keys
+        if n >= 8:
+            # Fiedler's lambda2 <= min degree: past K_(2,n-2) only the
+            # minimum-degree-3 members can matter
+            reduced = maximize_lambda2(enumerate_graphs(n, m, min_degree=3))
+            ref_val = algebraic_connectivity(complete_bipartite(n, 2))
+            expect = max(ref_val, reduced.best_lambda2)
+            assert abs(outcome.best_lambda2 - expect) <= TOL
 
     assert abs(algebraic_connectivity(complete_bipartite(10, 2)) - 2.0) <= TOL
     assert abs(algebraic_connectivity(named("petersen")) - 2.0) <= TOL
-    rep = verify_conjecture_k2(10, samples=300)
-    assert rep.passed
+    rep = verify_conjecture_k2(10)
+    assert rep.exhaustive and rep.passed
+    assert rep.checked == 357
+    ref_key = canonical_key(complete_bipartite(10, 2))
+    assert ref_key in {canonical_key(graph6_decode(s)) for s in rep.witnesses}
     assert time.perf_counter() - t0 < 1800.0
 
 

@@ -11,11 +11,7 @@ import pytest
 from algconn.cli import _build_parser, main
 from algconn.families import path
 from algconn.graphs import graph6_decode, graph6_encode
-from algconn.search import (
-    DEFAULT_SAMPLES,
-    verify_conjecture_k2,
-    verify_conjecture_tree2,
-)
+from algconn.search import DEFAULT_SAMPLES, verify_conjecture_tree2
 
 
 def run_cli(capsys, *argv):
@@ -121,8 +117,16 @@ def test_verify_exit_codes(capsys):
     assert code == 0
     assert json.loads(out)["results"]["passed"] is True
 
+    # n = 10 is exhaustive through the Fiedler reduction
+    code, out, _ = run_cli(capsys, "verify", "k2", "-n", "10")
+    assert code == 0
+    rec = json.loads(out)
+    assert rec["results"]["exhaustive"] and rec["results"]["checked"] == 357
+
     # sampled-only pass reports exit 3
-    code, out, _ = run_cli(capsys, "verify", "k2", "-n", "10", "--samples", "5")
+    code, out, _ = run_cli(
+        capsys, "verify", "tree2", "-d", "3", "-K", "3", "--samples", "5"
+    )
     assert code == 3
     rec = json.loads(out)
     assert rec["results"]["passed"] is True and not rec["results"]["exhaustive"]
@@ -135,10 +139,17 @@ def test_verify_echoes_only_the_options_it_reads(capsys):
     _, out, _ = run_cli(capsys, "verify", "cubic", "-K", "2")
     assert json.loads(out)["parameters"] == {"conjecture": "cubic", "K": 2}
 
-    _, out, _ = run_cli(capsys, "verify", "k2", "-n", "10", "--samples", "5")
+    _, out, _ = run_cli(capsys, "verify", "k2", "-n", "6", "--samples", "5")
+    assert json.loads(out)["parameters"] == {"conjecture": "k2", "n": 6}
+
+    _, out, _ = run_cli(
+        capsys, "verify", "tree2", "-d", "3", "-K", "3", "--samples", "5"
+    )
     assert json.loads(out)["parameters"] == {
-        "conjecture": "k2",
-        "n": 10,
+        "conjecture": "tree2",
+        "d": 3,
+        "K": 3,
+        "exhaustive": False,
         "samples": 5,
         "seed": 0,
     }
@@ -155,10 +166,9 @@ def test_verify_echoes_only_the_options_it_reads(capsys):
 
 def test_samples_default_is_the_library_default():
     parser = _build_parser()
-    args = parser.parse_args(["verify", "k2"])
-    for fn in (verify_conjecture_k2, verify_conjecture_tree2):
-        default = inspect.signature(fn).parameters["samples"].default
-        assert args.samples == default == DEFAULT_SAMPLES
+    args = parser.parse_args(["verify", "tree2"])
+    default = inspect.signature(verify_conjecture_tree2).parameters["samples"].default
+    assert args.samples == default == DEFAULT_SAMPLES
 
 
 def test_augment_csv(capsys):
@@ -205,7 +215,7 @@ def test_usage_errors_exit_1(capsys):
         ["enumerate", "trees"],
         ["enumerate", "graphs", "-n", "5"],
         ["verify", "k2", "-n", "99"],
-        ["verify", "k2", "-n", "10", "--samples", "0"],
+        ["verify", "tree2", "-d", "3", "-K", "3", "--samples", "0"],
         ["verify", "tree2", "-d", "3", "-K", "3", "--samples", "-5"],
         ["augment", "-n", "1", "-m", "0"],
     ):
@@ -216,7 +226,7 @@ def test_usage_errors_exit_1(capsys):
 
 def test_stdout_deterministic(capsys):
     runs = [
-        run_cli(capsys, "verify", "k2", "-n", "10", "--samples", "5")[1]
+        run_cli(capsys, "verify", "tree2", "-d", "3", "-K", "3", "--samples", "5")[1]
         for _ in range(2)
     ]
     assert runs[0] == runs[1]

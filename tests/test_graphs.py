@@ -6,6 +6,7 @@ import random
 import pytest
 
 from algconn import _kernels
+from algconn.families import random_tree
 from algconn.graphs import (
     CANON_MAX_VERTICES,
     Graph,
@@ -29,6 +30,7 @@ from algconn.graphs import (
     permute,
     read_graph6_file,
 )
+from algconn.search import enumerate_cubic
 
 
 def _random_graph(rng, n, p=0.4):
@@ -166,9 +168,13 @@ def _girth_brute(g):
 
 def test_girth_matches_brute_force():
     rng = random.Random(20240817)
-    for _ in range(60):
-        n = rng.randrange(4, 9)
-        g = _random_graph(rng, n, p=rng.uniform(0.2, 0.6))
+    graphs = [
+        _random_graph(rng, rng.randrange(4, 9), p=rng.uniform(0.2, 0.6))
+        for _ in range(60)
+    ]
+    graphs += list(enumerate_cubic(10))  # girth 3 to 5
+    graphs += [random_tree(n, 3, seed) for seed, n in enumerate((1, 2, 7, 12))]
+    for g in graphs:
         assert girth(g) == _girth_brute(g)
 
 

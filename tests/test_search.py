@@ -1,6 +1,8 @@
 """Enumeration counts vs independent oracles; maximization invariants."""
 
+import inspect
 import itertools
+import os
 import random
 
 import pytest
@@ -375,7 +377,7 @@ def test_sweep_matches_per_graph_solve_in_family_order():
 
 def test_resolve_threads_env(monkeypatch):
     monkeypatch.delenv("ALGCONN_THREADS", raising=False)
-    assert resolve_threads(None) == 1
+    assert resolve_threads(None) == (os.cpu_count() or 1)
     assert resolve_threads(4) == 4
     monkeypatch.setenv("ALGCONN_THREADS", "3")
     assert resolve_threads(None) == 3
@@ -398,11 +400,19 @@ def test_verify_k2_exhaustive_small():
         verify_conjecture_k2(4)
 
 
-def test_verify_k2_sampled_n10():
-    rep = verify_conjecture_k2(10, samples=40, seed=1)
-    assert not rep.exhaustive
-    assert rep.passed
-    assert "sampled" in rep.detail
+def test_verify_k2_exhaustive_n10():
+    # Fiedler's lambda2 <= min degree leaves the 357 members of minimum
+    # degree >= 3 to solve beside K_(2,8)
+    rep = verify_conjecture_k2(10)
+    assert rep.exhaustive and rep.passed
+    assert rep.checked == 357
+    assert rep.params == {"n": 10, "m": 16, "min_degree": 3}
+    assert "Fiedler" in rep.detail
+    # K_(2,8) and the one minimum-degree-3 graph that ties it
+    assert rep.witnesses == ("I????B~~o", "I@OZCMgsG")
+    k2_key = canonical_key(complete_bipartite(10, 2))
+    assert canonical_key(graph6_decode(rep.witnesses[0])) == k2_key
+    assert "samples" not in inspect.signature(verify_conjecture_k2).parameters
 
 
 def test_verify_tree2_exhaustive():
@@ -422,12 +432,10 @@ def test_verify_tree2_sampled():
 def test_sampled_checks_need_a_sample():
     for samples in (0, -5):
         with pytest.raises(ValueError, match="samples must be >= 1"):
-            verify_conjecture_k2(10, samples=samples)
-        with pytest.raises(ValueError, match="samples must be >= 1"):
             verify_conjecture_tree2(3, 3, samples=samples)
     # exhaustive runs ignore the sample count
     assert verify_conjecture_tree2(3, 2, samples=0).passed
-    assert verify_conjecture_k2(5, samples=0).passed
+    assert verify_conjecture_tree2(3, 3, exhaustive=False, samples=1).checked == 1
 
 
 def test_verify_cubic_k2():
