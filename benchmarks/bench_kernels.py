@@ -63,11 +63,13 @@ def main():
     walks = {"pure": "pure, pruned", "compiled": "compiled, unpruned"}
     print(f"\n{'free trees':34s}" + "".join(f"{walks[name]:>22s}" for name, _ in impls))
     for n, dmax in [(14, 3), (16, 3), (18, 3)]:
-        label = f"count_free_trees({n},{dmax})"
+        label = f"free_tree_layouts({n},{dmax}) walk"
         times = []
         for _, mod in impls:
             reps = 20 if mod is not _pure else 2
-            times.append(_time(lambda m=mod: m.count_free_trees(n, dmax), reps))
+            times.append(
+                _time(lambda m=mod: sum(1 for _ in m.free_tree_layouts(n, dmax)), reps)
+            )
         cells = "".join(f"{t * 1e3:20.2f}ms" for t in times)
         print(f"{label:34s}{cells}")
 

@@ -23,7 +23,6 @@ else:
 canon_perm = _impl.canon_perm
 canon_key = _impl.canon_key
 free_tree_layouts = _impl.free_tree_layouts
-count_free_trees = _impl.count_free_trees
 
 
 def backend() -> str:

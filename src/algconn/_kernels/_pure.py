@@ -334,11 +334,3 @@ def free_tree_layouts(n, dmax):
         layout = _next_rooted_tree(layout, i)
         while layout is not None and not _is_free_canonical(layout):
             layout = _next_free_tree(layout)
-
-
-def count_free_trees(n, dmax):
-    """Number of free trees on n vertices with maximum degree <= dmax."""
-    total = 0
-    for _ in free_tree_layouts(n, dmax):
-        total += 1
-    return total

@@ -199,6 +199,8 @@ def _cmd_enumerate(args):
 
 
 def _cmd_verify(args):
+    if args.samples < 1:
+        raise ValueError("samples must be >= 1")
     if args.conjecture == "k2":
         rep = verify_conjecture_k2(args.n, threads=args.threads)
     elif args.conjecture == "tree2":
@@ -355,10 +357,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     start = time.perf_counter()
     try:
         out = args.func(args)
-    except (GraphFormatError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ArithmeticError as exc:
+    except (GraphFormatError, ValueError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     params, results, default_fmt = out[0], out[1], out[2]

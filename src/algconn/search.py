@@ -1,7 +1,8 @@
 """Exhaustive enumeration and connectivity maximization over graph families.
 
 Trees come from a constant-amortized-time successor over canonical level
-sequences.  Cubic graphs and fixed-edge-count graphs come from one
+sequences; ``count_trees`` counts them with Otter's recurrence instead of
+that walk.  Cubic graphs and fixed-edge-count graphs come from one
 generator that closes one vertex at a time against a degree sequence: the
 cubic family is the sequence (3,)*n, and a fixed-edge-count family is the
 union over every degree sequence the edge count and degree floor allow.  A
@@ -120,10 +121,30 @@ def enumerate_trees(n: int, d_max: int) -> Iterator[Graph]:
 
 
 def count_trees(n: int, d_max: int) -> int:
-    """Number of unlabeled trees on n vertices with max degree <= d_max."""
-    if _tree_family_nonempty(n, d_max):
-        return _kernels.count_free_trees(n, d_max)
-    return 0
+    """Number of unlabeled trees on n vertices with max degree <= d_max.
+
+    Otter's count (Ann. Math. 49, 1948; OEIS A000672), with no walk: a tree
+    rooted at its one centroid has at most d_max branches of at most (n-1)/2
+    vertices, whose vertices have at most d_max-1 children; a tree with two
+    centroids is an unordered pair of such branches on n/2 vertices.
+    """
+    if not _tree_family_nonempty(n, d_max):
+        return 0
+    # forests[s][k]: multisets of k branches on s vertices in all, over the
+    # branch sizes folded in so far; j of r kinds of branch make C(r+j-1, j)
+    kmax = min(d_max, n - 1)
+    forests = [[1] + [0] * kmax] + [[0] * (kmax + 1) for _ in range(n - 1)]
+    for t in range(1, (n + 1) // 2):
+        rooted = sum(forests[t - 1][:d_max])  # branches on t vertices
+        picks = [math.comb(rooted + j - 1, j) for j in range(kmax + 1)]
+        for s in range(n - 1, t - 1, -1):
+            for k in range(kmax, 0, -1):
+                for j in range(1, min(k, s // t) + 1):
+                    forests[s][k] += forests[s - j * t][k - j] * picks[j]
+    free = sum(forests[n - 1])  # one centroid
+    if n % 2 == 0:  # two centroids
+        free += math.comb(sum(forests[n // 2 - 1][:d_max]) + 1, 2)
+    return free
 
 
 # ---------------------------------------------------------------------------

@@ -217,6 +217,8 @@ def test_usage_errors_exit_1(capsys):
         ["verify", "k2", "-n", "99"],
         ["verify", "tree2", "-d", "3", "-K", "3", "--samples", "0"],
         ["verify", "tree2", "-d", "3", "-K", "3", "--samples", "-5"],
+        ["verify", "cubic", "-K", "2", "--samples", "-3"],
+        ["verify", "k2", "-n", "6", "--samples", "0"],
         ["augment", "-n", "1", "-m", "0"],
     ):
         code, out, err = run_cli(capsys, *argv)

@@ -175,10 +175,22 @@ def test_tree_counts_small_series():
     # n = 1..8, unrestricted: 1, 1, 1, 2, 3, 6, 11, 23
     got = [count_trees(n, max(n - 1, 1)) for n in range(1, 9)]
     assert got == [1, 1, 1, 2, 3, 6, 11, 23]
-    # degree <= 3, oracle-validated through n = 8 above; later terms frozen
-    # from the validated generator (they match the published census)
+    # published censuses: OEIS A000672 (degree <= 3), A000602 (degree <= 4)
+    # and A000055 (unrestricted)
     assert count_trees(10, 3) == 37
     assert count_trees(12, 3) == 135
+    assert count_trees(23, 3) == 565734
+    assert count_trees(24, 3) == 1265579
+    assert count_trees(20, 4) == 366319
+    assert count_trees(24, 23) == 39299897
+
+
+def test_tree_counts_match_the_walk():
+    # the recurrence and the free-tree walk share no code
+    for n in range(1, 17):
+        for dmax in sorted({1, 2, 3, 4, 5, max(n - 1, 1), n}):
+            walked = sum(1 for _ in _kernels.free_tree_layouts(n, dmax))
+            assert count_trees(n, dmax) == walked, (n, dmax)
 
 
 def test_enumerate_trees_yields_distinct_valid_trees():
