@@ -2,32 +2,24 @@
 
 The package is fully functional without the extension (a pure-Python
 implementation of the same kernels is selected at import time), so a
-failed compile only costs speed.  With Cython the extension is built from
-``_speedups.pyx``; without it, from the committed ``_speedups.c``, which
+failed compile only costs speed.  The extension is built from the
+committed ``_speedups.c``, the file the test suite cross-checks, which
 needs only a C compiler:
 
     python3 setup.py build_ext --inplace
-"""
 
-import sys
+After editing ``_speedups.pyx``, regenerate the C file by hand with
+``cython -3 src/algconn/_kernels/_speedups.pyx`` and commit both.
+"""
 
 from setuptools import Extension, setup
 
-try:
-    from Cython.Build import cythonize
-
-    ext_modules = cythonize(
-        ["src/algconn/_kernels/_speedups.pyx"],
-        language_level="3",
-    )
-except ImportError:  # pragma: no cover - build-environment dependent
-    print("Cython not found; building the committed _speedups.c", file=sys.stderr)
-    ext_modules = [
+setup(
+    ext_modules=[
         Extension(
             "algconn._kernels._speedups",
             ["src/algconn/_kernels/_speedups.c"],
             optional=True,
         )
     ]
-
-setup(ext_modules=ext_modules)
+)

@@ -6,10 +6,12 @@ machine-readable output on stdout (JSON by default; CSV via ``--format
 csv``; the table-shaped ``augment`` and ``compare`` commands default to
 CSV), and keeps all diagnostics on stderr.  Floats are printed with 12
 significant digits.  Output is identical across runs and thread counts;
-wall-clock time is only included when ``--timing`` is given.
+wall-clock time is only included when ``--timing`` is given.  ``enumerate``
+and ``verify`` have one sub-command per family and per check, each taking
+only the options it reads.
 
-Exit codes: 0 success (verify: exhaustive PASS), 1 usage or I/O error,
-2 verify FAIL, 3 verify PASS from sampling only.
+Exit codes: 0 success (verify: exhaustive PASS), 1 usage (parse errors
+included) or I/O error, 2 verify FAIL, 3 verify PASS from sampling only.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from .graphs import (
     GraphFormatError,
     graph6_decode,
     graph6_encode,
+    is_connected,
     max_degree,
     read_graph6_file,
 )
@@ -115,15 +118,10 @@ def _emit(command: str, params: dict, results, fmt: str, wall: Optional[float]):
         writer.writerow(cells)
 
 
-# the verify options each check reads; samples and seed only when sampled
-_VERIFY_READS = {"k2": ("n",), "tree2": ("d", "K", "exhaustive"), "cubic": ("K",)}
-
-
-def _echo_params(args, sampled: bool) -> dict:
-    keep = {"conjecture", *_VERIFY_READS[args.conjecture]}
-    if sampled:
-        keep |= {"samples", "seed"}
-    return {k: v for k, v in vars(args).items() if k in keep}
+def _echo(args, *unread) -> dict:
+    # the parsed options, less those every command shares and those unread
+    skip = {"command", "func", "format", "timing", "threads", *unread}
+    return {k: v for k, v in vars(args).items() if k not in skip}
 
 
 # ---------------------------------------------------------------------------
@@ -168,25 +166,12 @@ def _cmd_tree_split(args):
 
 def _cmd_enumerate(args):
     if args.family == "trees":
-        if args.n is None:
-            raise ValueError("enumerate trees needs -n")
         fam = enumerate_trees(args.n, args.d if args.d is not None else args.n)
-        params = {"family": "trees", "n": args.n, "d": args.d}
     elif args.family == "cubic":
-        if args.n is None:
-            raise ValueError("enumerate cubic needs -n")
         fam = enumerate_cubic(args.n)
-        params = {"family": "cubic", "n": args.n}
     else:
-        if args.n is None or args.m is None:
-            raise ValueError("enumerate graphs needs -n and -m")
         fam = enumerate_graphs(args.n, args.m, args.min_degree)
-        params = {
-            "family": "graphs",
-            "n": args.n,
-            "m": args.m,
-            "min_degree": args.min_degree,
-        }
+    params = _echo(args, "max_lambda2")
     if args.max_lambda2:
         outcome = maximize_lambda2(
             fam, threads=args.threads, family_name=args.family
@@ -199,11 +184,11 @@ def _cmd_enumerate(args):
 
 
 def _cmd_verify(args):
-    if args.samples < 1:
-        raise ValueError("samples must be >= 1")
     if args.conjecture == "k2":
         rep = verify_conjecture_k2(args.n, threads=args.threads)
     elif args.conjecture == "tree2":
+        if args.samples < 1:
+            raise ValueError("samples must be >= 1")
         exhaustive = True if args.exhaustive else None
         rep = verify_conjecture_tree2(
             args.d,
@@ -221,7 +206,7 @@ def _cmd_verify(args):
         code = 0
     else:
         code = 3
-    params = _echo_params(args, sampled=not rep.exhaustive)
+    params = _echo(args, *(("samples", "seed") if rep.exhaustive else ()))
     return params, dataclasses.asdict(rep), "json", code
 
 
@@ -245,6 +230,8 @@ def _cmd_compare(args):
 
 def _cmd_consensus(args):
     g = _load_graph(args.source)
+    if not is_connected(g):  # before 10 / lambda2 meets a zero or float noise
+        raise ValueError("consensus decay requires a connected graph")
     rng = np.random.default_rng(args.seed)
     u0 = rng.standard_normal(g.n)
     lam2 = algebraic_connectivity(g)
@@ -266,8 +253,14 @@ def _cmd_consensus(args):
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    # parse errors are usage errors: main reports them and exits 1
+    def error(self, message):
+        raise ValueError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="algconn",
         description="Algebraic connectivity: values, bounds, searches.",
         epilog=(
@@ -278,7 +271,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(subs, name, help_, func):
+        p = subs.add_parser(name, help=help_)
         p.add_argument(
             "--format", choices=("json", "csv"), default=None, help="output format"
         )
@@ -286,76 +280,73 @@ def _build_parser() -> argparse.ArgumentParser:
             "--timing", action="store_true", help="include wall time in output"
         )
         p.add_argument("--threads", type=int, default=None, metavar="N")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("lambda2", help="algebraic connectivity of one graph")
+    p = command(sub, "lambda2", "algebraic connectivity of one graph", _cmd_lambda2)
     p.add_argument("source")
     p.add_argument("--vector", action="store_true", help="include Fiedler vector")
-    common(p)
-    p.set_defaults(func=_cmd_lambda2)
 
-    p = sub.add_parser("bounds", help="all applicable bounds for one graph")
+    p = command(sub, "bounds", "all applicable bounds for one graph", _cmd_bounds)
     p.add_argument("source")
-    common(p)
-    p.set_defaults(func=_cmd_bounds)
 
-    p = sub.add_parser("tree-split", help="splitting vertex and split bound")
+    p = command(sub, "tree-split", "splitting vertex and split bound", _cmd_tree_split)
     p.add_argument("source")
-    common(p)
-    p.set_defaults(func=_cmd_tree_split)
 
     p = sub.add_parser("enumerate", help="stream a graph family as graph6")
-    p.add_argument("family", choices=("trees", "cubic", "graphs"))
-    p.add_argument("-n", type=int, default=None)
-    p.add_argument("-d", type=int, default=None, help="max degree (trees)")
-    p.add_argument("-m", type=int, default=None, help="edge count (graphs)")
-    p.add_argument("--min-degree", type=int, default=0)
-    p.add_argument(
-        "--max-lambda2",
-        action="store_true",
-        help="report the maximizers instead of streaming",
-    )
-    common(p)
-    p.set_defaults(func=_cmd_enumerate)
+    families = p.add_subparsers(dest="family", required=True)
+    trees = command(families, "trees", "free trees", _cmd_enumerate)
+    trees.add_argument("-n", type=int, required=True)
+    trees.add_argument("-d", type=int, default=None, help="max degree")
+    cubic = command(families, "cubic", "connected cubic graphs", _cmd_enumerate)
+    cubic.add_argument("-n", type=int, required=True)
+    graphs = command(families, "graphs", "connected graphs", _cmd_enumerate)
+    graphs.add_argument("-n", type=int, required=True)
+    graphs.add_argument("-m", type=int, required=True, help="edge count")
+    graphs.add_argument("--min-degree", type=int, default=0)
+    for p in (trees, cubic, graphs):
+        p.add_argument(
+            "--max-lambda2",
+            action="store_true",
+            help="report the maximizers instead of streaming",
+        )
 
     p = sub.add_parser("verify", help="check a conjecture on a finite family")
-    p.add_argument("conjecture", choices=("k2", "tree2", "cubic"))
-    p.add_argument("-n", type=int, default=8, help="vertex count (k2)")
-    p.add_argument("-d", type=int, default=3, help="degree (tree2)")
-    p.add_argument("-K", type=int, default=2, help="depth (tree2, cubic)")
+    checks = p.add_subparsers(dest="conjecture", required=True)
+    p = command(checks, "k2", "K_(2,n-2) is the maximizer", _cmd_verify)
+    p.add_argument("-n", type=int, default=8, help="vertex count")
+    p = command(checks, "tree2", "the balanced tree is the maximizer", _cmd_verify)
+    p.add_argument("-d", type=int, default=3, help="degree")
+    p.add_argument("-K", type=int, default=2, help="depth")
     p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--exhaustive", action="store_true")
-    common(p)
-    p.set_defaults(func=_cmd_verify)
+    p = command(checks, "cubic", "the girth bound is attained once", _cmd_verify)
+    p.add_argument("-K", type=int, default=2, help="depth")
 
-    p = sub.add_parser("augment", help="greedy spectral edge augmentation trace")
+    p = command(sub, "augment", "greedy spectral edge augmentation trace", _cmd_augment)
     p.add_argument("-n", type=int, required=True)
     p.add_argument("-m", type=int, required=True)
-    common(p)
-    p.set_defaults(func=_cmd_augment)
 
-    p = sub.add_parser("compare", help="augmentation vs bipartite vs regular")
+    p = command(sub, "compare", "augmentation vs bipartite vs regular", _cmd_compare)
     p.add_argument("-n", type=int, required=True)
     p.add_argument("--m-list", required=True, help="comma-separated edge counts")
-    common(p)
-    p.set_defaults(func=_cmd_compare)
 
-    p = sub.add_parser("consensus", help="simulated consensus decay vs lambda2")
+    p = command(
+        sub, "consensus", "simulated consensus decay vs lambda2", _cmd_consensus
+    )
     p.add_argument("source")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--t-end", type=float, default=None)
     p.add_argument("--dt", type=float, default=None)
-    common(p)
-    p.set_defaults(func=_cmd_consensus)
 
     return parser
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    start = time.perf_counter()
     try:
+        args = _build_parser().parse_args(argv)
+        start = time.perf_counter()
         out = args.func(args)
     except (GraphFormatError, ValueError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -328,6 +328,9 @@ def graph6_encode(g: Graph) -> str:
     return "".join(parts)
 
 
+_G6_BITS = str.maketrans({chr(v + 63): f"{v:06b}" for v in range(64)})
+
+
 def graph6_decode(text: str) -> Graph:
     """Parse one graph6 line; tolerates the optional format header."""
     s = text.strip()
@@ -365,27 +368,20 @@ def graph6_decode(text: str) -> Graph:
         raise GraphFormatError(
             f"expected {need} adjacency characters for n={n}, got {len(data) - idx}"
         )
+    # six bits per character, most significant first, then zero padding
+    bits = s[idx:].translate(_G6_BITS)
+    if "1" in bits[nbits:]:
+        raise GraphFormatError("nonzero padding bits")
     rows = [0] * n
-    bit = 0
-    for v in data[idx:]:
-        for k in range(5, -1, -1):
-            if bit < nbits:
-                if (v >> k) & 1:
-                    i, j = _pair_from_index(bit)
-                    rows[i] |= 1 << j
-                    rows[j] |= 1 << i
-                bit += 1
-            elif (v >> k) & 1:
-                raise GraphFormatError("nonzero padding bits")
+    start = 0
+    for j in range(1, n):
+        # column-major upper triangle, as graph6_encode writes it
+        for i, b in enumerate(bits[start : start + j]):
+            if b == "1":
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+        start += j
     return Graph(n, rows)
-
-
-def _pair_from_index(idx: int) -> tuple[int, int]:
-    # column-major upper triangle: (0,1), (0,2), (1,2), (0,3), ...
-    j = 1
-    while j * (j + 1) // 2 <= idx:
-        j += 1
-    return idx - j * (j - 1) // 2, j
 
 
 def read_graph6_file(path: str) -> list[Graph]:

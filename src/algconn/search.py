@@ -269,19 +269,13 @@ def enumerate_graphs(n: int, m: int, min_degree: int = 0) -> Iterator[Graph]:
 
 
 def resolve_threads(threads: Optional[int] = None) -> int:
-    """Worker threads for a sweep: the argument, else ALGCONN_THREADS, else
-    one per CPU.  The library and the CLI share this default."""
-    if threads is not None:
-        if threads < 1:
-            raise ValueError("threads must be >= 1")
-        return threads
-    env = os.environ.get("ALGCONN_THREADS")
-    if env:
-        val = int(env)
-        if val < 1:
-            raise ValueError("ALGCONN_THREADS must be >= 1")
-        return val
-    return os.cpu_count() or 1
+    """Worker threads for a sweep: the argument, else one per CPU.  The
+    library and the CLI share this default."""
+    if threads is None:
+        return os.cpu_count() or 1
+    if threads < 1:
+        raise ValueError("threads must be >= 1")
+    return threads
 
 
 _TIE_TOL = 1e-9

@@ -139,7 +139,7 @@ def test_verify_echoes_only_the_options_it_reads(capsys):
     _, out, _ = run_cli(capsys, "verify", "cubic", "-K", "2")
     assert json.loads(out)["parameters"] == {"conjecture": "cubic", "K": 2}
 
-    _, out, _ = run_cli(capsys, "verify", "k2", "-n", "6", "--samples", "5")
+    _, out, _ = run_cli(capsys, "verify", "k2", "-n", "6")
     assert json.loads(out)["parameters"] == {"conjecture": "k2", "n": 6}
 
     _, out, _ = run_cli(
@@ -220,10 +220,23 @@ def test_usage_errors_exit_1(capsys):
         ["verify", "cubic", "-K", "2", "--samples", "-3"],
         ["verify", "k2", "-n", "6", "--samples", "0"],
         ["augment", "-n", "1", "-m", "0"],
+        # parse errors: each command takes only the options it reads
+        ["verify", "k2", "-n", "abc"],
+        ["verify", "bogus"],
+        ["verify", "k2", "-n", "6", "--samples", "5"],
+        ["verify", "cubic", "-K", "2", "--seed", "1"],
+        ["enumerate", "cubic", "-n", "14", "-d", "3"],
+        ["enumerate", "trees", "-n", "6", "-m", "5"],
+        # disconnected: one message whatever lambda2's float noise
+        ["consensus", "C?"],
+        ["consensus", "EwCW"],
+        ["consensus", "FgCGG"],
     ):
         code, out, err = run_cli(capsys, *argv)
         assert code == 1, argv
         assert out == "" and err.startswith("error:")
+        if argv[0] == "consensus":
+            assert "requires a connected graph" in err
 
 
 def test_stdout_deterministic(capsys):

@@ -209,11 +209,12 @@ def test_graph6_roundtrip_random():
 
 def test_graph6_long_form_roundtrip():
     rng = random.Random(72)
-    for n in (63, 64, 100):
-        edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.05]
+    # 62 is the last short-form vertex count; n = 300 is dense
+    for n, p in ((62, 0.05), (63, 0.05), (64, 0.05), (100, 0.05), (300, 0.9)):
+        edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
         g = from_edges(n, edges)
         s = graph6_encode(g)
-        assert s.startswith("~")
+        assert s.startswith("~") == (n > 62)
         assert graph6_decode(s) == g
     assert not graph6_encode(_path(62)).startswith("~")
 

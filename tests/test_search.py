@@ -387,12 +387,9 @@ def test_sweep_matches_per_graph_solve_in_family_order():
         list(_sweep([path(3), Graph(1, [0])], 1))
 
 
-def test_resolve_threads_env(monkeypatch):
-    monkeypatch.delenv("ALGCONN_THREADS", raising=False)
+def test_resolve_threads_default():
     assert resolve_threads(None) == (os.cpu_count() or 1)
     assert resolve_threads(4) == 4
-    monkeypatch.setenv("ALGCONN_THREADS", "3")
-    assert resolve_threads(None) == 3
     with pytest.raises(ValueError):
         resolve_threads(0)
 
