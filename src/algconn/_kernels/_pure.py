@@ -3,9 +3,15 @@
 Two kernels live here: canonical labeling of small graphs (individualization
 plus equitable refinement with automorphism pruning) and generation of free
 trees as level sequences.  The compiled extension module ``_speedups``
-implements the same entry points with identical observable behaviour; this
-module is both the fallback and the reference the extension is tested
-against.
+implements the same entry points with identical results, and this module is
+both the fallback and the reference the extension is tested against.  The
+two canonical labelings search the same tree and return the same order, but
+this one does less work per node: refinement skips splitters that can no
+longer split anything, automorphisms are stored without a cap, and orbit
+tests read fixed-point bitmasks.  The compiled kernel still re-tests every
+splitter after each split and stops storing automorphisms at 200, so on
+graphs with very many automorphisms (a star or an empty graph on more than
+24 vertices) its orbit pruning collapses and the search grows exponentially.
 
 Graphs are passed as ``(n, rows)`` where ``rows[i]`` is an integer bitmask of
 the neighbours of vertex ``i``.  All functions here assume ``n <= 64``.
@@ -13,44 +19,75 @@ the neighbours of vertex ``i``.  All functions here assume ``n <= 64``.
 
 from __future__ import annotations
 
-# Automorphism generators stored per canonical-labeling search.  The cap only
-# bounds memory; pruning degrades gracefully if it is hit.
-_AUTO_CAP = 200
 
-
-def _refine(adj, cells):
+def _refine(adj, cells, stable):
     """Equitable refinement of an ordered partition.
 
     Cells are split by the count of neighbours inside each splitter cell,
     pieces ordered by ascending count.  Both the splitting key and the piece
     order are label-invariant, so isomorphic inputs refine to corresponding
-    partitions.
+    partitions.  Splitters are tried in cell order, and the scan restarts at
+    the first cell after every split.
+
+    ``stable`` holds vertex bitmasks against which every cell is already
+    uniform; it is updated in place.  Such a mask cannot split any cell of
+    this partition or of a refinement of it, so a splitter whose mask is in
+    ``stable`` is skipped, and a splitter joins ``stable`` once applied,
+    since its pieces are then uniform against it.  Skipping is exact: the
+    result is the partition the scan reaches without it.  On return
+    ``stable`` holds the mask of every cell of the result.
     """
-    while True:
-        changed = False
-        for si in range(len(cells)):
-            smask = 0
-            for v in cells[si]:
-                smask |= 1 << v
-            new_cells = []
-            for cell in cells:
-                if len(cell) == 1:
-                    new_cells.append(cell)
-                    continue
+    masks = []
+    for cell in cells:
+        mask = 0
+        for v in cell:
+            mask |= 1 << v
+        masks.append(mask)
+    si = 0
+    while si < len(cells):
+        smask = masks[si]
+        if smask in stable:
+            si += 1
+            continue
+        stable.add(smask)
+        new_cells = None  # started at the first cell that splits
+        for ci, cell in enumerate(cells):
+            if len(cell) > 1:
                 groups = {}
                 for v in cell:
                     groups.setdefault((adj[v] & smask).bit_count(), []).append(v)
-                if len(groups) == 1:
-                    new_cells.append(cell)
-                else:
-                    changed = True
+                if len(groups) > 1:
+                    if new_cells is None:
+                        new_cells = cells[:ci]
+                        new_masks = masks[:ci]
                     for key in sorted(groups):
-                        new_cells.append(groups[key])
-            if changed:
-                cells = new_cells
-                break
-        if not changed:
-            return cells
+                        piece = groups[key]
+                        mask = 0
+                        for v in piece:
+                            mask |= 1 << v
+                        new_cells.append(piece)
+                        new_masks.append(mask)
+                    continue
+            if new_cells is not None:
+                new_cells.append(cell)
+                new_masks.append(masks[ci])
+        if new_cells is None:
+            si += 1
+        else:
+            cells, masks = new_cells, new_masks
+            si = 0
+    return cells
+
+
+def _close(orbit, frontier, gens):
+    """Grow ``orbit`` to its closure under ``gens``, starting from ``frontier``."""
+    while frontier:
+        u = frontier.pop()
+        for a in gens:
+            w = a[u]
+            if w not in orbit:
+                orbit.add(w)
+                frontier.append(w)
 
 
 def canon_perm(n, rows, colors=None):
@@ -63,12 +100,15 @@ def canon_perm(n, rows, colors=None):
 
     The search minimizes, over the individualization-refinement tree, the
     pair (sequence of refined cell-size tuples, adjacency code of the leaf
-    order).  Cell-size sequences are label-invariant, which makes pruning by
-    prefix comparison exact; automorphisms discovered at repeated leaves
-    prune sibling branches via orbit closure.
+    order), and returns the first leaf, in depth-first order, that attains
+    the minimum.  Cell-size sequences are label-invariant, which makes
+    pruning by prefix comparison exact; automorphisms discovered at repeated
+    leaves prune sibling branches via orbit closure.  An automorphism maps
+    the subtree of one child onto that of another with the same keys, so
+    pruning never skips that first minimal leaf.
     """
-    if n == 1:
-        return (0,)
+    if n <= 1:
+        return tuple(range(n))
     adj = rows
     if colors is None:
         cells = [list(range(n))]
@@ -81,30 +121,14 @@ def canon_perm(n, rows, colors=None):
     best_chunks = None
     best_code = None
     best_order = None
-    autos = []
+    autos = []  # (permutation, bitmask of its fixed points)
     cur_chunks = []
 
-    def in_orbit(v, tried, prefix):
-        applicable = [a for a in autos if all(a[p] == p for p in prefix)]
-        if not applicable:
-            return False
-        orbit = set(tried)
-        frontier = list(tried)
-        while frontier:
-            u = frontier.pop()
-            for a in applicable:
-                w = a[u]
-                if w not in orbit:
-                    if w == v:
-                        return True
-                    orbit.add(w)
-                    frontier.append(w)
-        return False
-
-    def rec(cells, depth, tied, prefix):
+    def rec(cells, stable, depth, tied, prefix):
+        # prefix: bitmask of the vertices individualized on the way here
         nonlocal best_chunks, best_code, best_order
-        cells = _refine(adj, cells)
-        chunk = tuple(len(c) for c in cells)
+        cells = _refine(adj, cells, stable)
+        chunk = tuple(map(len, cells))
         if tied and best_chunks is not None:
             if depth < len(best_chunks):
                 bc = best_chunks[depth]
@@ -126,45 +150,64 @@ def canon_perm(n, rows, colors=None):
                     break
             if target < 0:
                 order = tuple(c[0] for c in cells)
+                pos = [0] * n
+                for k, v in enumerate(order):
+                    pos[v] = k
+                # code[k]: the neighbours of order[k] among positions < k
                 code = []
-                for k in range(n):
-                    row = adj[order[k]]
+                for k, v in enumerate(order):
+                    row = adj[v]
                     c = 0
-                    for i in range(k):
-                        if (row >> order[i]) & 1:
-                            c |= 1 << i
-                    code.append(c)
+                    while row:
+                        low = row & -row
+                        c |= 1 << pos[low.bit_length() - 1]
+                        row ^= low
+                    code.append(c & ((1 << k) - 1))
                 code = tuple(code)
                 key = (tuple(cur_chunks), code)
                 if best_chunks is None or key < (best_chunks, best_code):
                     best_chunks, best_code, best_order = key[0], code, order
                     return True
-                if code == best_code and order != best_order and len(autos) < _AUTO_CAP:
+                if code == best_code and order != best_order:
                     a = [0] * n
-                    for k in range(n):
-                        a[order[k]] = best_order[k]
-                    autos.append(tuple(a))
+                    fixed = 0
+                    for v, w in zip(order, best_order):
+                        a[v] = w
+                        if v == w:
+                            fixed |= 1 << v
+                    autos.append((tuple(a), fixed))
                 return False
             cell = cells[target]
-            members = sorted(cell)
-            tried = []
-            for v in members:
-                if tried and in_orbit(v, tried, prefix):
-                    continue
+            # orbit: the closure of the children tried so far under the
+            # stored automorphisms that fix the prefix pointwise
+            applicable = []
+            seen = 0
+            orbit = set()
+            for v in sorted(cell):
+                if orbit:
+                    if len(autos) > seen:
+                        fresh = [a for a, fixed in autos[seen:] if not prefix & ~fixed]
+                        seen = len(autos)
+                        if fresh:
+                            applicable += fresh
+                            _close(orbit, list(orbit), applicable)
+                    if v in orbit:
+                        continue
                 sub = (
                     cells[:target]
                     + [[v], [u for u in cell if u != v]]
                     + cells[target + 1 :]
                 )
-                if rec(sub, depth + 1, tied, prefix + (v,)):
+                if rec(sub, set(stable), depth + 1, tied, prefix | 1 << v):
                     modified = True
                     tied = True  # new best shares this node's chunk prefix
-                tried.append(v)
+                orbit.add(v)
+                _close(orbit, [v], applicable)
             return modified
         finally:
             cur_chunks.pop()
 
-    rec(cells, 0, True, ())
+    rec(cells, set(), 0, True, 0)
     return best_order
 
 

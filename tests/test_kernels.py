@@ -3,9 +3,11 @@
 The compiled side is the in-tree extension when one is importable.
 Otherwise the committed ``_speedups.c`` is compiled into a temporary
 directory and loaded from there, so the cross-checks run wherever a C
-compiler and the Python headers are present.  The pure free-tree walk,
-which prunes by degree prefix, is itself checked against the unpruned walk
-kept here, with no compiler needed.
+compiler and the Python headers are present.  Two pure kernels are also
+checked against reference versions kept here, with no compiler needed: the
+free-tree walk, which prunes by degree prefix, against the unpruned walk,
+and the canonical labeling, which skips stable splitters, against the
+refinement that re-tests every splitter after each split.
 """
 
 import importlib.util
@@ -67,6 +69,39 @@ def _random_rows(rng, n, p):
     return rows
 
 
+def _relabel(rows, perm):
+    out = [0] * len(rows)
+    for i, row in enumerate(rows):
+        for j in range(len(rows)):
+            if (row >> j) & 1:
+                out[perm[i]] |= 1 << perm[j]
+    return out
+
+
+def _star(n):
+    return [(1 << n) - 2] + [1] * (n - 1)
+
+
+@pytest.fixture(scope="module")
+def generator_inputs():
+    # every canon_key input of two generator runs: partial states coloured
+    # by remaining capacity, the input the graph searches send
+    from algconn import _kernels, search
+
+    calls = []
+    real = _kernels.canon_key
+
+    def record(n, rows, colors=None):
+        calls.append((n, tuple(rows), colors if colors is None else tuple(colors)))
+        return real(n, rows, colors)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernels, "canon_key", record)
+        list(search.enumerate_cubic(10))
+        list(search.enumerate_graphs(8, 12, 2))
+    return calls
+
+
 def test_canon_agrees_on_random_graphs(sp):
     rng = random.Random(99)
     for trial in range(600):
@@ -97,6 +132,81 @@ def test_canon_agrees_on_relabelings_of_named_graphs(sp):
             rows = tuple(rows)
             assert sp.canon_key(g.n, rows) == ref
             assert _pure.canon_key(g.n, rows) == ref
+
+
+def test_canon_agrees_on_generator_states(sp, generator_inputs):
+    assert len(generator_inputs) > 1000
+    for n, rows, colors in generator_inputs:
+        assert _pure.canon_key(n, rows, colors) == sp.canon_key(n, rows, colors)
+
+
+def test_canon_agrees_on_stars_and_empty_graphs(sp):
+    # the compiled kernel stores at most 200 automorphisms, which still
+    # suffices at these sizes
+    for n in (20, 22, 24):
+        for rows in (_star(n), [0] * n):
+            assert _pure.canon_perm(n, rows) == sp.canon_perm(n, rows)
+
+
+def test_pure_canon_of_highly_symmetric_graphs():
+    # K1,31 and the empty graph on 32 vertices have 31! and 32!
+    # automorphisms; with a cap on the stored ones, orbit pruning collapses
+    # and the search takes exponential time
+    rng = random.Random(3)
+    for rows in (_star(32), [0] * 32):
+        perm = list(range(32))
+        rng.shuffle(perm)
+        assert _pure.canon_key(32, _relabel(rows, perm)) == _pure.canon_key(32, rows)
+
+
+def _restart_refine(adj, cells, stable):
+    # refinement before stable splitters: after every split, every splitter
+    # is tried again from the first cell; ``stable`` is ignored
+    while True:
+        changed = False
+        for si in range(len(cells)):
+            smask = 0
+            for v in cells[si]:
+                smask |= 1 << v
+            new_cells = []
+            for cell in cells:
+                if len(cell) == 1:
+                    new_cells.append(cell)
+                    continue
+                groups = {}
+                for v in cell:
+                    groups.setdefault((adj[v] & smask).bit_count(), []).append(v)
+                if len(groups) == 1:
+                    new_cells.append(cell)
+                else:
+                    changed = True
+                    for key in sorted(groups):
+                        new_cells.append(groups[key])
+            if changed:
+                cells = new_cells
+                break
+        if not changed:
+            return cells
+
+
+def test_stable_splitters_match_the_full_scan(monkeypatch, generator_inputs):
+    from algconn.families import named
+
+    rng = random.Random(17)
+    cases = list(generator_inputs)
+    for trial in range(300):
+        n = rng.randint(1, 14)
+        rows = _random_rows(rng, n, rng.choice([0.15, 0.4, 0.7]))
+        colors = [rng.randint(0, 2) for _ in range(n)] if trial % 2 else None
+        cases.append((n, rows, colors))
+    for name in ("petersen", "heawood", "tutte_coxeter"):
+        g = named(name)
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        cases.append((g.n, _relabel(g.rows, perm), None))
+    skipping = [_pure.canon_perm(*case) for case in cases]
+    monkeypatch.setattr(_pure, "_refine", _restart_refine)
+    assert [_pure.canon_perm(*case) for case in cases] == skipping
 
 
 def test_key_byte_layout(sp):
