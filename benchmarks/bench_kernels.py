@@ -46,7 +46,7 @@ def _random_rows(rng, n, p):
 
 
 def _partial_cubic():
-    # the Heawood graph with the edges at vertices 0..6 only
+    # the Heawood graph with only the edges that touch vertices 0..6
     g = named("heawood")
     closed = (1 << 7) - 1
     rows = [row if v < 7 else row & closed for v, row in enumerate(g.rows)]
