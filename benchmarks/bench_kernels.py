@@ -7,7 +7,10 @@ compiled one re-tests every splitter after each split; the pure search also
 stores every automorphism it finds, where the compiled one stops at 200.
 The pure free-tree walk prunes every subtree of candidates whose prefix
 already breaks the degree cap, while the compiled walk visits every free
-tree and filters afterwards.
+tree and filters afterwards.  The same holds for the height cap of the
+``max_height=4`` row: the pure walk jumps over every candidate whose prefix
+reaches level 5, while the compiled side walks every free tree on 20
+vertices and the kernel dispatcher drops the layouts above height 4.
 
 The "partial cubic" row is the input the graph searches send: a cubic graph
 on 14 vertices with half of its vertices closed, coloured by the degree each
@@ -19,7 +22,7 @@ Run as:  python3 benchmarks/bench_kernels.py
 import random
 import time
 
-from algconn._kernels import _pure
+from algconn._kernels import _height_filtered, _pure
 from algconn.families import named
 
 try:
@@ -78,18 +81,20 @@ def main():
         cells = "".join(f"{t * 1e6:12.1f}us" for t in times)
         print(f"{label:34s}{cells}")
 
+    walkers = {"pure": _pure.free_tree_layouts}
+    if _speedups is not None:
+        walkers["compiled"] = _height_filtered(_speedups.free_tree_layouts)
     walks = {"pure": "pure, pruned", "compiled": "compiled, unpruned"}
-    print(f"\n{'free trees':34s}" + "".join(f"{walks[name]:>22s}" for name, _ in impls))
-    for n, dmax in [(14, 3), (16, 3), (18, 3)]:
-        label = f"free_tree_layouts({n},{dmax}) walk"
+    print(f"\n{'free trees':38s}" + "".join(f"{walks[name]:>22s}" for name in walkers))
+    for n, dmax, height in [(14, 3, None), (16, 3, None), (18, 3, None), (20, 3, 4)]:
+        cap = "" if height is None else f",max_height={height}"
+        label = f"free_tree_layouts({n},{dmax}{cap})"
         times = []
-        for _, mod in impls:
-            reps = 20 if mod is not _pure else 2
-            times.append(
-                _time(lambda m=mod: sum(1 for _ in m.free_tree_layouts(n, dmax)), reps)
-            )
+        for name, walk in walkers.items():
+            reps = 20 if name != "pure" else 2
+            times.append(_time(lambda w=walk: sum(1 for _ in w(n, dmax, height)), reps))
         cells = "".join(f"{t * 1e3:20.2f}ms" for t in times)
-        print(f"{label:34s}{cells}")
+        print(f"{label:38s}{cells}")
 
     if _speedups is not None:
         check = all(

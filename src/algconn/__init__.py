@@ -29,6 +29,7 @@ from .search import (
     enumerate_graphs,
     enumerate_trees,
     maximize_lambda2,
+    maximize_trees,
     verify_conjecture_cubic,
     verify_conjecture_k2,
     verify_conjecture_tree2,
@@ -71,6 +72,7 @@ __all__ = [
     "laplacian",
     "laplacian_spectrum",
     "maximize_lambda2",
+    "maximize_trees",
     "modified_lambda",
     "named",
     "named_graph_names",

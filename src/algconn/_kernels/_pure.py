@@ -247,16 +247,21 @@ def canon_key(n, rows, colors=None):
 # every free (unrooted, unlabeled) tree exactly once via its canonical rooted
 # representation, visiting rooted sequences in reverse-lexicographic order.
 #
-# The walk is pruned by degree prefix.  Whether vertex i's arrival gives its
-# parent more than dmax neighbours depends on layout[:i+1] alone, so when it
-# does, every later rooted sequence with that prefix breaks the cap too; in
-# reverse-lexicographic order they are exactly the sequences before
-# ``_next_rooted_tree(layout, i)``, and the walk jumps there.  The jump lands
-# on a sequence the unpruned walk may never visit, and ``_next_free_tree``'s
-# own skip is only valid from sequences that walk visits (it returns its skip
-# target unchecked), so after a jump the walk steps until a free-canonical
-# sequence is reached.  The yielded layouts and their order are those of the
-# unpruned walk filtered by maximum degree.
+# The walk is pruned by prefix, against two caps.  Whether vertex i's
+# arrival gives its parent more than dmax neighbours, or puts it deeper than
+# max_height, depends on layout[:i+1] alone, so when it does, every later
+# rooted sequence with that prefix breaks a cap too; in reverse-lexicographic
+# order they are exactly the sequences before ``_next_rooted_tree(layout,
+# i)``, and the walk jumps there.  The jump lands on a sequence the unpruned
+# walk may never visit, and ``_next_free_tree``'s own skip is only valid from
+# sequences that walk visits (it returns its skip target unchecked), so after
+# a jump the walk steps until a free-canonical sequence is reached.  The
+# yielded layouts and their order are those of the unpruned walk filtered by
+# maximum degree and height.
+#
+# Every layout is rooted at a centre of its tree, so a layout of height h
+# has diameter 2h - 1 or 2h; the height cap is a diameter cap, which the
+# tree maximizer in ``search`` turns into a bound on lambda2.
 # ---------------------------------------------------------------------------
 
 
@@ -325,8 +330,9 @@ def _next_free_tree(candidate):
     return new_candidate
 
 
-def _first_over_cap(layout, dmax):
-    """First i whose arrival gives its parent more than dmax neighbours, or -1.
+def _first_over_cap(layout, dmax, max_height):
+    """First i deeper than max_height or whose arrival gives its parent more
+    than dmax neighbours, or -1.
 
     A vertex's neighbours are its children plus, below the root, its parent.
     """
@@ -335,6 +341,8 @@ def _first_over_cap(layout, dmax):
     deg = [0] * n
     for i in range(1, n):
         lev = layout[i]
+        if lev > max_height:
+            return i
         parent = last[lev - 1]
         deg[parent] += 1
         if deg[parent] > dmax:
@@ -344,18 +352,19 @@ def _first_over_cap(layout, dmax):
     return -1
 
 
-def free_tree_layouts(n, dmax):
+def free_tree_layouts(n, dmax, max_height=None):
     """Yield level sequences of all free trees on n vertices, max degree <= dmax.
 
     Exactly one representative per isomorphism class, in the successor
-    order of the underlying enumeration.
+    order of the underlying enumeration.  With ``max_height``, only the
+    layouts whose deepest level is at most that are yielded.
     """
-    if n == 1:
-        yield (0,)
-        return
-    if n == 2:
-        if dmax >= 1:
-            yield (0, 1)
+    if max_height is None:
+        max_height = n
+    if n in (1, 2):
+        # the one tree: a single vertex, or an edge of height 1
+        if (n == 1 or dmax >= 1) and n - 1 <= max_height:
+            yield tuple(range(n))
         return
     if dmax < 2:
         return
@@ -364,7 +373,7 @@ def free_tree_layouts(n, dmax):
         layout = _next_free_tree(layout)
         if layout is None:
             return
-        i = _first_over_cap(layout, dmax)
+        i = _first_over_cap(layout, dmax, max_height)
         if i < 0:
             yield tuple(layout)
             layout = _next_rooted_tree(layout)

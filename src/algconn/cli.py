@@ -45,6 +45,7 @@ from .search import (
     enumerate_graphs,
     enumerate_trees,
     maximize_lambda2,
+    maximize_trees,
     verify_conjecture_cubic,
     verify_conjecture_k2,
     verify_conjecture_tree2,
@@ -166,16 +167,22 @@ def _cmd_tree_split(args):
 
 def _cmd_enumerate(args):
     if args.family == "trees":
-        fam = enumerate_trees(args.n, args.d if args.d is not None else args.n)
+        d_max = args.d if args.d is not None else args.n
+        fam = enumerate_trees(args.n, d_max)
     elif args.family == "cubic":
         fam = enumerate_cubic(args.n)
     else:
         fam = enumerate_graphs(args.n, args.m, args.min_degree)
     params = _echo(args, "max_lambda2")
     if args.max_lambda2:
-        outcome = maximize_lambda2(
-            fam, threads=args.threads, family_name=args.family
-        )
+        if args.family == "trees":
+            outcome = maximize_trees(
+                args.n, d_max, threads=args.threads, family_name=args.family
+            )
+        else:
+            outcome = maximize_lambda2(
+                fam, threads=args.threads, family_name=args.family
+            )
         return params, dataclasses.asdict(outcome), "json"
     # plain stream: one graph6 line per graph, independent of --format
     for g in fam:

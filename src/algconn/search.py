@@ -18,6 +18,12 @@ One sweep serves every check: the maximizer, the exhaustive conjecture
 checks, the sampled tree check and the cubic attainment check all take their
 lambda2 values from ``_sweep``, which solves a family chunk by chunk through
 the batched eigensolver and yields the values in family order.
+
+Tree maximization solves only the trees that can win.  Each layout of the
+tree walk is rooted at a centre, so its height bounds the tree's diameter
+from below and the path bound caps its lambda2; ``maximize_trees`` takes an
+incumbent from the shortest layouts and walks only the heights whose bound
+still reaches it (2,056 of the 52,233 trees at n = 20, d <= 3).
 """
 
 from __future__ import annotations
@@ -28,11 +34,11 @@ import os
 import random
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Optional
 
 from . import _kernels
-from .bounds import ATTAINED_TOL, tk_bound
+from .bounds import ATTAINED_TOL, _path_bound, tk_bound
 from .families import bethe_tree, complete_bipartite, random_tree
 from .graphs import (
     Graph,
@@ -346,6 +352,54 @@ def maximize_lambda2(
     )
 
 
+# below the incumbent by this much, a tree cannot tie the best; far wider
+# than _TIE_TOL and than the error of a computed lambda2
+_HEIGHT_CAP_MARGIN = 1e-6
+
+
+def _min_tree_height(n: int, d_max: int) -> int:
+    # the fewest levels a centre-rooted layout fills: the root has at most
+    # d_max children and every other vertex at most d_max - 1
+    height, size, width = 0, 1, d_max
+    while size < n:
+        size += width
+        width *= d_max - 1
+        height += 1
+    return height
+
+
+def maximize_trees(
+    n: int, d_max: int, threads: Optional[int] = None, family_name: str = ""
+) -> SearchOutcome:
+    """``maximize_lambda2(enumerate_trees(n, d_max))``, solving only the
+    trees that can reach the maximum.
+
+    A layout of height h is rooted at a centre of its tree, so the tree has
+    diameter at least 2h - 1 and lambda2 <= 2 - 2 cos(pi / 2h), the value
+    of the path it contains (Grone, Merris & Sunder, SIAM J. Matrix Anal.
+    Appl. 11, 1990).  The trees of the smallest height give an incumbent.
+    The walk is then capped at the smallest height h with
+    ``_path_bound(2h + 1)`` below the incumbent less ``_HEIGHT_CAP_MARGIN``,
+    which bounds every taller tree.  No tree above the cap can be a
+    maximizer or tie one, so the outcome is the full sweep's, with
+    ``enumerated`` taken from ``count_trees``.
+    """
+    if not _tree_family_nonempty(n, d_max):
+        raise ValueError("empty family")
+    threads = resolve_threads(threads)
+
+    def capped(height):
+        for layout in _kernels.free_tree_layouts(n, d_max, height):
+            yield _layout_to_graph(layout)
+
+    height = _min_tree_height(n, d_max)
+    incumbent = max(val for val, _ in _sweep(capped(height), threads))
+    while height < n and _path_bound(2 * height + 1) >= incumbent - _HEIGHT_CAP_MARGIN:
+        height += 1
+    outcome = maximize_lambda2(capped(height), threads=threads, family_name=family_name)
+    return replace(outcome, enumerated=count_trees(n, d_max))
+
+
 # ---------------------------------------------------------------------------
 # conjecture verification
 # ---------------------------------------------------------------------------
@@ -425,10 +479,8 @@ def verify_conjecture_tree2(
     ref_val = algebraic_connectivity(ref)
     ref_g6 = graph6_encode(_canonical_graph(ref))
     if exhaustive:
-        outcome = maximize_lambda2(
-            enumerate_trees(n, d),
-            threads=threads,
-            family_name=f"trees(n={n}, d<={d})",
+        outcome = maximize_trees(
+            n, d, threads=threads, family_name=f"trees(n={n}, d<={d})"
         )
         unique_bethe = outcome.maximizers == (ref_g6,)
         sound = outcome.best_lambda2 <= ref_val + _TIE_TOL

@@ -47,6 +47,7 @@ from algconn.search import (
     enumerate_graphs,
     enumerate_trees,
     maximize_lambda2,
+    maximize_trees,
     verify_conjecture_k2,
 )
 from algconn.spectral import (
@@ -202,7 +203,7 @@ def test_criterion_06_balanced_tree_maximizers(eigenvalues_below):
     t0 = time.perf_counter()
     for K in (2, 3):
         ref = bethe_tree(3, K)
-        outcome = maximize_lambda2(enumerate_trees(ref.n, 3), threads=2)
+        outcome = maximize_trees(ref.n, 3, threads=2)
         assert outcome.enumerated == count_trees(ref.n, 3)
         assert len(outcome.maximizers) == 1, f"tie at n={ref.n}"
         winner = graph6_decode(outcome.maximizers[0])
@@ -210,6 +211,7 @@ def test_criterion_06_balanced_tree_maximizers(eigenvalues_below):
             f"maximizer at n={ref.n} is not the balanced tree"
         )
 
+    # the census walks every layout, with no height cap
     assert count_trees(23, 3) == 565734
     assert sum(1 for _ in _kernels.free_tree_layouts(23, 3)) == 565734
 

@@ -7,7 +7,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from algconn import _kernels
 from algconn.bounds import (
+    _path_bound,
     basic_diameter_bound,
     bound_report,
     conjectured_tree_bound,
@@ -32,6 +34,7 @@ from algconn.families import (
     star,
 )
 from algconn.graphs import diameter, from_edges, girth, is_connected
+from algconn.search import _layout_to_graph
 from algconn.spectral import (
     algebraic_connectivity,
     modified_lambda,
@@ -267,6 +270,20 @@ def test_diameter_bound_attained_by_paths_and_stars():
     assert algebraic_connectivity(s) == pytest.approx(1.0)
     with pytest.raises(ValueError):
         basic_diameter_bound(complete(4))
+
+
+def test_walk_height_caps_the_diameter_and_lambda2():
+    # the premise of the tree maximizer's height cap: every layout is rooted
+    # at a centre, so height h means diameter 2h - 1 or 2h, and the path on
+    # 2h vertices inside the tree bounds its connectivity
+    for n in range(1, 15):
+        for d in sorted({3, n}):
+            for layout in _kernels.free_tree_layouts(n, d):
+                h = max(layout)
+                g = _layout_to_graph(layout)
+                assert diameter(g) in (2 * h - 1, 2 * h), layout
+                if n > 1:
+                    assert algebraic_connectivity(g) <= _path_bound(2 * h - 1) + 1e-12
 
 
 # ---------------------------------------------------------------------------

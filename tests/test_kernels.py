@@ -5,9 +5,9 @@ Otherwise the committed ``_speedups.c`` is compiled into a temporary
 directory and loaded from there, so the cross-checks run wherever a C
 compiler and the Python headers are present.  Two pure kernels are also
 checked against reference versions kept here, with no compiler needed: the
-free-tree walk, which prunes by degree prefix, against the unpruned walk,
-and the canonical labeling, which skips stable splitters, against the
-refinement that re-tests every splitter after each split.
+free-tree walk, which prunes by degree and height prefix, against the
+unpruned walk, and the canonical labeling, which skips stable splitters,
+against the refinement that re-tests every splitter after each split.
 """
 
 import importlib.util
@@ -21,7 +21,7 @@ from pathlib import Path
 
 import pytest
 
-from algconn._kernels import _pure, backend
+from algconn._kernels import _height_filtered, _pure, backend
 
 MODULE = "algconn._kernels._speedups"
 
@@ -240,34 +240,61 @@ def _max_degree(layout):
 
 
 def test_pruned_tree_walk_matches_unpruned():
+    # with no cap and with every height cap, n <= 2 included
     for n in range(1, 17):
         for dmax in sorted({1, 2, 3, 4, 5, n}):
-            pruned = list(_pure.free_tree_layouts(n, dmax))
-            assert pruned == list(_unpruned_tree_layouts(n, dmax)), (n, dmax)
+            unpruned = list(_unpruned_tree_layouts(n, dmax))
+            assert list(_pure.free_tree_layouts(n, dmax)) == unpruned, (n, dmax)
+            for h in range(n + 1):
+                capped = list(_pure.free_tree_layouts(n, dmax, h))
+                assert capped == [t for t in unpruned if max(t) <= h], (n, dmax, h)
+
+
+def _count_steps(monkeypatch):
+    calls = [0]
+    step = _pure._next_free_tree
+
+    def counted(layout):
+        calls[0] += 1
+        return step(layout)
+
+    monkeypatch.setattr(_pure, "_next_free_tree", counted)
+    return calls
 
 
 def test_pruned_tree_walk_work_bound(monkeypatch):
     # the unpruned walk visits 19,320 free trees at n = 16 to keep 2,410
-    calls = 0
-    step = _pure._next_free_tree
-
-    def counted(layout):
-        nonlocal calls
-        calls += 1
-        return step(layout)
-
-    monkeypatch.setattr(_pure, "_next_free_tree", counted)
+    calls = _count_steps(monkeypatch)
     trees = sum(1 for _ in _pure.free_tree_layouts(16, 3))
     assert trees == 2410
-    assert calls <= 3 * trees
+    assert calls[0] <= 3 * trees
+
+
+def test_height_capped_walk_work_bound(monkeypatch):
+    # 2,056 of the 52,233 trees at n = 20, d <= 3 have height <= 4; the walk
+    # reaches them in about 10,500 steps
+    calls = _count_steps(monkeypatch)
+    trees = sum(1 for _ in _pure.free_tree_layouts(20, 3, 4))
+    assert trees == 2056
+    assert calls[0] <= 6 * trees
 
 
 def test_tree_layouts_identical(sp):
+    # the compiled walk takes no height cap, so the dispatcher filters it;
+    # at each height it must give the pure walk's layouts, which the test
+    # above shows are the uncapped ones filtered by height
+    capped = _height_filtered(sp.free_tree_layouts)
     for n in range(1, 19):
         for dmax in sorted({1, 2, 3, 4, n}):
             a = list(_pure.free_tree_layouts(n, dmax))
             b = list(sp.free_tree_layouts(n, dmax))
             assert a == b, (n, dmax)
+            assert list(capped(n, dmax)) == a, (n, dmax)
+            # every cap above the tallest layout keeps them all
+            heights = [max(t) for t in a]
+            for h in range(max(heights, default=0) + 2):
+                expect = [t for t, th in zip(a, heights) if th <= h]
+                assert list(capped(n, dmax, h)) == expect, (n, dmax, h)
 
 
 def test_compiled_guards_size(sp):

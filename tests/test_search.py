@@ -32,12 +32,14 @@ from algconn.graphs import (
 )
 from algconn.search import (
     ConjectureReport,
+    _min_tree_height,
     _sweep,
     count_trees,
     enumerate_cubic,
     enumerate_graphs,
     enumerate_trees,
     maximize_lambda2,
+    maximize_trees,
     resolve_threads,
     verify_conjecture_cubic,
     verify_conjecture_k2,
@@ -344,6 +346,57 @@ def test_maximize_trees_n10():
     assert len(outcome.maximizers) == 1
     winner = graph6_decode(outcome.maximizers[0])
     assert canonical_key(winner) == canonical_key(ref)
+
+
+def test_maximize_trees_matches_the_full_sweep():
+    for n in range(2, 17):
+        for d in sorted({2, 3, 4, n}):
+            full = maximize_lambda2(enumerate_trees(n, d), threads=1)
+            capped = maximize_trees(n, d, threads=1)
+            # the incumbent walk's height is the smallest any layout has
+            heights = [max(t) for t in _kernels.free_tree_layouts(n, d)]
+            assert _min_tree_height(n, d) == min(heights), (n, d)
+            assert capped.enumerated == full.enumerated == count_trees(n, d)
+            assert capped.maximizers == full.maximizers, (n, d)
+            assert capped.best_lambda2 == full.best_lambda2, (n, d)
+
+
+def test_maximize_trees_cap(monkeypatch):
+    # the smallest cap the path bound allows: at n = 20, d <= 3 the
+    # incumbent comes from height 3 and the cap is 4; at n = 24, d <= 24
+    # the star alone is walked, twice
+    walked = []
+    walk = _kernels.free_tree_layouts
+
+    def record(n, dmax, max_height=None):
+        walked.append(max_height)
+        return walk(n, dmax, max_height)
+
+    monkeypatch.setattr(_kernels, "free_tree_layouts", record)
+    assert maximize_trees(20, 3, threads=1).enumerated == 52233
+    (star_g6,) = maximize_trees(24, 24, threads=1).maximizers
+    assert max_degree(graph6_decode(star_g6)) == 23
+    assert walked == [3, 4, 1, 1]
+
+
+def test_maximize_trees_thread_invariance():
+    for n, d in ((16, 3), (14, 14), (20, 3)):
+        assert maximize_trees(n, d, threads=1) == maximize_trees(n, d, threads=3)
+
+
+def test_maximize_trees_errors_as_the_full_sweep(capsys):
+    from algconn.cli import main
+
+    for n, d in ((1, 1), (1, 3), (5, 1), (25, 3), (0, 3), (6, 0)):
+        with pytest.raises(ValueError) as full:
+            maximize_lambda2(enumerate_trees(n, d))
+        with pytest.raises(ValueError) as capped:
+            maximize_trees(n, d)
+        assert str(capped.value) == str(full.value), (n, d)
+    code = main(["enumerate", "trees", "-n", "1", "--max-lambda2"])
+    out = capsys.readouterr()
+    assert code == 1 and out.out == ""
+    assert out.err == "error: lambda2 needs graphs with n >= 2\n"
 
 
 def test_maximize_cubic_n6():
