@@ -1,16 +1,10 @@
-"""Compare the compiled kernels against the pure-Python reference.
+"""Time the compiled kernels against the pure-Python reference.
 
-Each ratio compares two algorithms, not two implementations of one.  The
-canonical labelings search the same tree and return the same order, but the
-pure refinement skips splitters that can no longer split anything, where the
-compiled one re-tests every splitter after each split; the pure search also
-stores every automorphism it finds, where the compiled one stops at 200.
-The pure free-tree walk prunes every subtree of candidates whose prefix
-already breaks the degree cap, while the compiled walk visits every free
-tree and filters afterwards.  The same holds for the height cap of the
-``max_height=4`` row: the pure walk jumps over every candidate whose prefix
-reaches level 5, while the compiled side walks every free tree on 20
-vertices and the kernel dispatcher drops the layouts above height 4.
+The two backends run one algorithm in two languages: ``_speedups.c`` is a
+port of ``_pure``, so each ratio is the cost of Python over C for the same
+search.  The canonical labelings visit the same nodes, and the free-tree
+walks visit the same candidates, pruned by the degree cap and, in the
+``max_height=4`` row, by the height cap.
 
 The "partial cubic" row is the input the graph searches send: a cubic graph
 on 14 vertices with half of its vertices closed, coloured by the degree each
@@ -22,7 +16,7 @@ Run as:  python3 benchmarks/bench_kernels.py
 import random
 import time
 
-from algconn._kernels import _height_filtered, _pure
+from algconn._kernels import _pure
 from algconn.families import named
 
 try:
@@ -81,11 +75,8 @@ def main():
         cells = "".join(f"{t * 1e6:12.1f}us" for t in times)
         print(f"{label:34s}{cells}")
 
-    walkers = {"pure": _pure.free_tree_layouts}
-    if _speedups is not None:
-        walkers["compiled"] = _height_filtered(_speedups.free_tree_layouts)
-    walks = {"pure": "pure, pruned", "compiled": "compiled, unpruned"}
-    print(f"\n{'free trees':38s}" + "".join(f"{walks[name]:>22s}" for name in walkers))
+    walkers = {name: mod.free_tree_layouts for name, mod in impls}
+    print(f"\n{'free trees':38s}" + "".join(f"{name:>22s}" for name in walkers))
     for n, dmax, height in [(14, 3, None), (16, 3, None), (18, 3, None), (20, 3, 4)]:
         cap = "" if height is None else f",max_height={height}"
         label = f"free_tree_layouts({n},{dmax}{cap})"

@@ -2,14 +2,11 @@
 
 The package is fully functional without the extension (a pure-Python
 implementation of the same kernels is selected at import time), so a
-failed compile only costs speed.  The extension is built from the
-committed ``_speedups.c``, the file the test suite cross-checks, which
-needs only a C compiler:
+failed compile only costs speed.  The extension is the hand-written
+``_speedups.c``, a port of ``_pure`` to the CPython API, which needs only
+a C compiler:
 
     python3 setup.py build_ext --inplace
-
-After editing ``_speedups.pyx``, regenerate the C file by hand with
-``cython -3 src/algconn/_kernels/_speedups.pyx`` and commit both.
 """
 
 from setuptools import Extension, setup

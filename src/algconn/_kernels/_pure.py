@@ -2,16 +2,10 @@
 
 Two kernels live here: canonical labeling of small graphs (individualization
 plus equitable refinement with automorphism pruning) and generation of free
-trees as level sequences.  The compiled extension module ``_speedups``
-implements the same entry points with identical results, and this module is
-both the fallback and the reference the extension is tested against.  The
-two canonical labelings search the same tree and return the same order, but
-this one does less work per node: refinement skips splitters that can no
-longer split anything, automorphisms are stored without a cap, and orbit
-tests read fixed-point bitmasks.  The compiled kernel still re-tests every
-splitter after each split and stops storing automorphisms at 200, so on
-graphs with very many automorphisms (a star or an empty graph on more than
-24 vertices) its orbit pruning collapses and the search grows exponentially.
+trees as level sequences.  The compiled extension module ``_speedups`` is a
+port of this module to C, with the same entry points and identical results,
+and this module is both the fallback and the reference the extension is
+tested against.
 
 Graphs are passed as ``(n, rows)`` where ``rows[i]`` is an integer bitmask of
 the neighbours of vertex ``i``.  All functions here assume ``n <= 64``.

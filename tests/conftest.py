@@ -1,8 +1,12 @@
 """Shared fixtures, and one PASS/FAIL line per acceptance criterion after the run."""
 
+import os
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+
+import algconn
 
 _TITLES = {
     1: "closed-form spectra (star, path, complete bipartite)",
@@ -55,6 +59,13 @@ def _laplacian_eigenvalues_below(g, t):
 def eigenvalues_below():
     """count(g, t): exact number of Laplacian eigenvalues of g below t."""
     return _laplacian_eigenvalues_below
+
+
+@pytest.fixture
+def package_pythonpath():
+    """PYTHONPATH for a subprocess: the imported package's directory first."""
+    src = str(Path(algconn.__file__).resolve().parent.parent)
+    return os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -3,6 +3,7 @@
 import inspect
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -249,11 +250,12 @@ def test_stdout_deterministic(capsys):
     assert runs[0] == runs[1]
 
 
-def test_module_entry_point():
+def test_module_entry_point(package_pythonpath):
     proc = subprocess.run(
         [sys.executable, "-m", "algconn", "lambda2", "named:petersen"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": package_pythonpath},
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["results"]["lambda2"] == 2.0

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import pytest
 
-from algconn._kernels import _height_filtered, _pure, backend
+from algconn._kernels import _pure, backend
 
 MODULE = "algconn._kernels._speedups"
 
@@ -44,7 +44,8 @@ def sp(tmp_path_factory):
         "_speedups" + sysconfig.get_config_var("EXT_SUFFIX")
     )
     proc = subprocess.run(
-        [cc, "-O2", "-shared", "-fPIC", f"-I{include}", str(source), "-o", str(target)],
+        [cc, "-O2", "-Wall", "-Wextra", "-Werror", "-shared", "-fPIC", f"-I{include}"]
+        + [str(source), "-o", str(target)],
         capture_output=True,
         text=True,
     )
@@ -137,22 +138,22 @@ def test_canon_agrees_on_generator_states(sp, generator_inputs):
 
 
 def test_canon_agrees_on_stars_and_empty_graphs(sp):
-    # the compiled kernel stores at most 200 automorphisms, which still
-    # suffices at these sizes
-    for n in (20, 22, 24):
+    for n in (20, 22, 24, 32, 40):
         for rows in (_star(n), [0] * n):
             assert _pure.canon_perm(n, rows) == sp.canon_perm(n, rows)
 
 
-def test_pure_canon_of_highly_symmetric_graphs():
-    # K1,31 and the empty graph on 32 vertices have 31! and 32!
+def test_pure_canon_of_highly_symmetric_graphs(sp):
+    # K1,31, the empty graph on 32 vertices and K1,39 have 31!, 32! and 39!
     # automorphisms; with a cap on the stored ones, orbit pruning collapses
     # and the search takes exponential time
     rng = random.Random(3)
-    for rows in (_star(32), [0] * 32):
-        perm = list(range(32))
+    for rows in (_star(32), [0] * 32, _star(40)):
+        n = len(rows)
+        perm = list(range(n))
         rng.shuffle(perm)
-        assert _pure.canon_key(32, _relabel(rows, perm)) == _pure.canon_key(32, rows)
+        for kernel in (_pure, sp):
+            assert kernel.canon_key(n, _relabel(rows, perm)) == kernel.canon_key(n, rows)
 
 
 def _restart_refine(adj, cells, stable):
@@ -280,28 +281,44 @@ def test_height_capped_walk_work_bound(monkeypatch):
 
 
 def test_tree_layouts_identical(sp):
-    # the compiled walk takes no height cap, so the dispatcher filters it;
-    # at each height it must give the pure walk's layouts, which the test
-    # above shows are the uncapped ones filtered by height
-    capped = _height_filtered(sp.free_tree_layouts)
+    # at each height cap the compiled walk must give the pure walk's
+    # layouts, which the test above shows are the uncapped ones filtered by
+    # height; n <= 2 and dmax < 2 included
     for n in range(1, 19):
         for dmax in sorted({1, 2, 3, 4, n}):
             a = list(_pure.free_tree_layouts(n, dmax))
             b = list(sp.free_tree_layouts(n, dmax))
             assert a == b, (n, dmax)
-            assert list(capped(n, dmax)) == a, (n, dmax)
             # every cap above the tallest layout keeps them all
             heights = [max(t) for t in a]
             for h in range(max(heights, default=0) + 2):
                 expect = [t for t, th in zip(a, heights) if th <= h]
-                assert list(capped(n, dmax, h)) == expect, (n, dmax, h)
+                assert list(sp.free_tree_layouts(n, dmax, h)) == expect, (n, dmax, h)
 
 
 def test_compiled_guards_size(sp):
+    # the C kernel reads nothing past what it is given
+    for n in (0, 65):
+        for kernel in (sp.canon_perm, sp.canon_key):
+            with pytest.raises(ValueError):
+                kernel(n, [0] * n)
+        with pytest.raises(ValueError):
+            sp.free_tree_layouts(n, 3)
+    for kernel in (sp.canon_perm, sp.canon_key):
+        with pytest.raises(IndexError):
+            kernel(4, [0] * 3)
+        with pytest.raises(IndexError):
+            kernel(4, [0] * 4, [0] * 3)
+        with pytest.raises(IndexError):
+            kernel(3, [0b1000, 0, 0])  # a neighbour outside the graph
+        with pytest.raises(OverflowError):
+            kernel(4, [0, 0, 0, 1 << 64])
     with pytest.raises(ValueError):
-        sp.canon_perm(65, [0] * 65)
-    with pytest.raises(ValueError):
-        sp.free_tree_layouts(65, 3)
+        sp.canon_key(3, [0] * 3, [0, 256, 0])
+    # a walk abandoned half-way is freed (python -X dev reports a bad free)
+    walk = sp.free_tree_layouts(12, 3, 4)
+    assert next(walk) == next(iter(_pure.free_tree_layouts(12, 3, 4)))
+    del walk
 
 
 def test_backend_reports_compiled():
@@ -312,7 +329,7 @@ def test_backend_reports_compiled():
     assert backend() == "compiled"
 
 
-def test_pure_env_forces_fallback():
+def test_pure_env_forces_fallback(package_pythonpath):
     out = subprocess.run(
         [
             sys.executable,
@@ -321,6 +338,6 @@ def test_pure_env_forces_fallback():
         ],
         capture_output=True,
         text=True,
-        env={**os.environ, "ALGCONN_PURE": "1"},
+        env={**os.environ, "ALGCONN_PURE": "1", "PYTHONPATH": package_pythonpath},
     )
     assert out.stdout.strip() == "pure"
