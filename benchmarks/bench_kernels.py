@@ -8,13 +8,17 @@ walks visit the same candidates, pruned by the degree cap and, in the
 
 The "partial cubic" row is the input the graph searches send: a cubic graph
 on 14 vertices with half of its vertices closed, coloured by the degree each
-vertex still lacks.
+vertex still lacks.  The star K1,39 and the sparse n=40 graph show what the
+kernels' data layout costs: the star's search stores 741 automorphisms
+and closes orbits under them, and the sparse graph's refinement splits
+many cells.  Each time is the mean over ``timeit``'s autorange, at
+least 0.2 s of calls.
 
 Run as:  python3 benchmarks/bench_kernels.py
 """
 
 import random
-import time
+import timeit
 
 from algconn._kernels import _pure
 from algconn.families import named
@@ -25,11 +29,9 @@ except ImportError:
     _speedups = None
 
 
-def _time(fn, reps):
-    t0 = time.perf_counter()
-    for _ in range(reps):
-        fn()
-    return (time.perf_counter() - t0) / reps
+def _time(fn):
+    number, total = timeit.Timer(fn).autorange()
+    return total / number
 
 
 def _random_rows(rng, n, p):
@@ -64,14 +66,15 @@ def main():
         "canon_key n=14 dense": (14, _random_rows(rng, 14, 0.7), None),
         "canon_key n=30 regular-ish": (30, _random_rows(rng, 30, 0.12), None),
         "canon_key n=14 partial cubic": _partial_cubic(),
+        "canon_key n=40 sparse p=0.1": (40, _random_rows(rng, 40, 0.1), None),
+        "canon_key K1,39": (40, [(1 << 40) - 2] + [1] * 39, None),
     }
 
     print(f"{'benchmark':34s}" + "".join(f"{name:>14s}" for name, _ in impls))
     for label, (n, rows, colors) in cases.items():
         times = []
         for _, mod in impls:
-            reps = 2000 if mod is not _pure else 200
-            times.append(_time(lambda m=mod: m.canon_key(n, rows, colors), reps))
+            times.append(_time(lambda m=mod: m.canon_key(n, rows, colors)))
         cells = "".join(f"{t * 1e6:12.1f}us" for t in times)
         print(f"{label:34s}{cells}")
 
@@ -81,9 +84,8 @@ def main():
         cap = "" if height is None else f",max_height={height}"
         label = f"free_tree_layouts({n},{dmax}{cap})"
         times = []
-        for name, walk in walkers.items():
-            reps = 20 if name != "pure" else 2
-            times.append(_time(lambda w=walk: sum(1 for _ in w(n, dmax, height)), reps))
+        for walk in walkers.values():
+            times.append(_time(lambda w=walk: sum(1 for _ in w(n, dmax, height))))
         cells = "".join(f"{t * 1e3:20.2f}ms" for t in times)
         print(f"{label:38s}{cells}")
 

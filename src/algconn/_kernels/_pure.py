@@ -17,33 +17,31 @@ from __future__ import annotations
 def _refine(adj, cells, stable):
     """Equitable refinement of an ordered partition.
 
-    Cells are split by the count of neighbours inside each splitter cell,
-    pieces ordered by ascending count.  Both the splitting key and the piece
-    order are label-invariant, so isomorphic inputs refine to corresponding
+    A cell is a tuple of its vertices in ascending order.  Cells are split
+    by the count of neighbours inside each splitter cell, pieces ordered by
+    ascending count.  Both the splitting key and the piece order are
+    label-invariant, so isomorphic inputs refine to corresponding
     partitions.  Splitters are tried in cell order, and the scan restarts at
     the first cell after every split.
 
-    ``stable`` holds vertex bitmasks against which every cell is already
-    uniform; it is updated in place.  Such a mask cannot split any cell of
-    this partition or of a refinement of it, so a splitter whose mask is in
-    ``stable`` is skipped, and a splitter joins ``stable`` once applied,
-    since its pieces are then uniform against it.  Skipping is exact: the
-    result is the partition the scan reaches without it.  On return
-    ``stable`` holds the mask of every cell of the result.
+    ``stable`` holds cells against which every cell is already uniform; it
+    is updated in place.  Such a cell cannot split any cell of this
+    partition or of a refinement of it, so a splitter in ``stable`` is
+    skipped, and a splitter joins ``stable`` once applied, since its pieces
+    are then uniform against it.  Skipping is exact: the result is the
+    partition the scan reaches without it.  On return ``stable`` holds every
+    cell of the result.
     """
-    masks = []
-    for cell in cells:
-        mask = 0
-        for v in cell:
-            mask |= 1 << v
-        masks.append(mask)
     si = 0
     while si < len(cells):
-        smask = masks[si]
-        if smask in stable:
+        splitter = cells[si]
+        if splitter in stable:
             si += 1
             continue
-        stable.add(smask)
+        stable.add(splitter)
+        smask = 0
+        for v in splitter:
+            smask |= 1 << v
         new_cells = None  # started at the first cell that splits
         for ci, cell in enumerate(cells):
             if len(cell) > 1:
@@ -53,22 +51,14 @@ def _refine(adj, cells, stable):
                 if len(groups) > 1:
                     if new_cells is None:
                         new_cells = cells[:ci]
-                        new_masks = masks[:ci]
-                    for key in sorted(groups):
-                        piece = groups[key]
-                        mask = 0
-                        for v in piece:
-                            mask |= 1 << v
-                        new_cells.append(piece)
-                        new_masks.append(mask)
+                    new_cells += [tuple(groups[key]) for key in sorted(groups)]
                     continue
             if new_cells is not None:
                 new_cells.append(cell)
-                new_masks.append(masks[ci])
         if new_cells is None:
             si += 1
         else:
-            cells, masks = new_cells, new_masks
+            cells = new_cells
             si = 0
     return cells
 
@@ -105,12 +95,12 @@ def canon_perm(n, rows, colors=None):
         return tuple(range(n))
     adj = rows
     if colors is None:
-        cells = [list(range(n))]
+        cells = [tuple(range(n))]
     else:
         by = {}
         for v in range(n):
             by.setdefault(colors[v], []).append(v)
-        cells = [by[c] for c in sorted(by)]
+        cells = [tuple(by[c]) for c in sorted(by)]
 
     best_chunks = None
     best_code = None
@@ -177,7 +167,7 @@ def canon_perm(n, rows, colors=None):
             applicable = []
             seen = 0
             orbit = set()
-            for v in sorted(cell):
+            for i, v in enumerate(cell):
                 if orbit:
                     if len(autos) > seen:
                         fresh = [a for a, fixed in autos[seen:] if not prefix & ~fixed]
@@ -187,11 +177,8 @@ def canon_perm(n, rows, colors=None):
                             _close(orbit, list(orbit), applicable)
                     if v in orbit:
                         continue
-                sub = (
-                    cells[:target]
-                    + [[v], [u for u in cell if u != v]]
-                    + cells[target + 1 :]
-                )
+                rest = cell[:i] + cell[i + 1 :]
+                sub = cells[:target] + [(v,), rest] + cells[target + 1 :]
                 if rec(sub, set(stable), depth + 1, tied, prefix | 1 << v):
                     modified = True
                     tied = True  # new best shares this node's chunk prefix

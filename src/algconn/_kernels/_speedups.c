@@ -51,21 +51,21 @@ typedef struct {
     int app_cap[MAXN];
 } CanonCtx;
 
-/* Equitable refinement of the ordered partition (cv, cs, ncells); returns
- * the new cell count.  Cell ci holds cv[cs[ci]..cs[ci+1]-1] in ascending
- * order.  Every cell is split by the count of neighbours inside the
+/* Equitable refinement of the ordered partition cell[0..ncells-1], in
+ * place; returns the new cell count.  A cell is the bitmask of its
+ * vertices.  Every cell is split by the count of neighbours inside the
  * splitter, pieces by ascending count, and the scan restarts at the first
  * cell after every split.
  *
  * st[ci] marks a cell against which every cell is already uniform.  In
- * ``_pure`` this is a set of splitter masks; a flag per cell is the same
- * set, since the masks it holds are unions of current cells, so a piece cut
- * from a cell is never among them.  A stable splitter is skipped, and a
+ * ``_pure`` this is a set of cells; a flag per cell is the same set, since
+ * the set holds only cells of this partition or of coarser ones, and a
+ * piece cut from a cell is neither.  A stable splitter is skipped, and a
  * splitter becomes stable once applied; on return every cell is stable. */
-static int refine(const u64 *adj, int n, u8 *cv, int *cs, u8 *st, int ncells)
+static int refine(const u64 *adj, u64 *cell, u8 *st, int ncells)
 {
-    u8 nv[MAXN], nst[MAXN];
-    int ns[MAXN + 1], cnt[MAXN];
+    u64 ncell[MAXN];
+    u8 nst[MAXN], cnt[MAXN];
     int si = 0;
     while (si < ncells) {
         if (st[si]) {
@@ -73,39 +73,36 @@ static int refine(const u64 *adj, int n, u8 *cv, int *cs, u8 *st, int ncells)
             continue;
         }
         st[si] = 1;
-        u64 smask = 0;
-        for (int j = cs[si]; j < cs[si + 1]; j++)
-            smask |= BIT(cv[j]);
+        u64 smask = cell[si];
         int nn = 0, split = 0;
-        ns[0] = 0;
         for (int ci = 0; ci < ncells; ci++) {
-            int a = cs[ci], b = cs[ci + 1], lo = MAXN + 1, hi = -1;
-            if (b - a > 1) {
-                for (int j = a; j < b; j++) {
-                    int c = __builtin_popcountll(adj[cv[j]] & smask);
-                    cnt[j] = c;
-                    if (c < lo)
-                        lo = c;
-                    if (c > hi)
-                        hi = c;
+            u64 c = cell[ci];
+            int lo = MAXN + 1, hi = -1;
+            if (c & (c - 1)) {
+                for (u64 r = c; r; r &= r - 1) {
+                    int v = __builtin_ctzll(r), k = __builtin_popcountll(adj[v] & smask);
+                    cnt[v] = (u8)k;
+                    if (k < lo)
+                        lo = k;
+                    if (k > hi)
+                        hi = k;
                 }
             }
             if (lo >= hi) {
-                memcpy(nv + a, cv + a, b - a);
-                nst[nn] = st[ci];
-                ns[++nn] = b;
+                ncell[nn] = c;
+                nst[nn++] = st[ci];
                 continue;
             }
             split = 1;
-            int pos = a;
-            for (int c = lo; c <= hi; c++) {
-                int start = pos;
-                for (int j = a; j < b; j++)
-                    if (cnt[j] == c)
-                        nv[pos++] = cv[j];
-                if (pos > start) {
-                    nst[nn] = 0;
-                    ns[++nn] = pos;
+            for (int k = lo; c; k++) {
+                u64 piece = 0;
+                for (u64 r = c; r; r &= r - 1)
+                    if (cnt[__builtin_ctzll(r)] == k)
+                        piece |= r & -r;
+                if (piece) {
+                    ncell[nn] = piece;
+                    nst[nn++] = 0;
+                    c ^= piece;
                 }
             }
         }
@@ -113,8 +110,7 @@ static int refine(const u64 *adj, int n, u8 *cv, int *cs, u8 *st, int ncells)
             si++;
             continue;
         }
-        memcpy(cv, nv, n);
-        memcpy(cs, ns, (nn + 1) * sizeof(int));
+        memcpy(cell, ncell, nn * sizeof(u64));
         memcpy(st, nst, nn);
         ncells = nn;
         si = 0;
@@ -149,17 +145,20 @@ static u64 close_orbit(const CanonCtx *S, u64 orbit, u64 frontier, const int *ap
     return orbit;
 }
 
-/* A leaf: cv is the candidate order.  Returns 1 if it is the new best. */
-static int leaf(CanonCtx *S, const u8 *cv, int depth)
+/* A leaf: every cell is a singleton, and the cells in order are the
+ * candidate order.  Returns 1 if it is the new best. */
+static int leaf(CanonCtx *S, const u64 *cell, int depth)
 {
     int n = S->n;
-    u8 pos[MAXN];
+    u8 order[MAXN], pos[MAXN];
     u64 code[MAXN];
-    for (int k = 0; k < n; k++)
-        pos[cv[k]] = (u8)k;
-    /* code[k]: the neighbours of cv[k] among positions < k */
     for (int k = 0; k < n; k++) {
-        u64 row = S->adj[cv[k]], c = 0;
+        order[k] = (u8)__builtin_ctzll(cell[k]);
+        pos[order[k]] = (u8)k;
+    }
+    /* code[k]: the neighbours of order[k] among positions < k */
+    for (int k = 0; k < n; k++) {
+        u64 row = S->adj[order[k]], c = 0;
         for (; row; row &= row - 1)
             c |= BIT(pos[__builtin_ctzll(row)]);
         code[k] = c & (BIT(k) - 1);
@@ -186,10 +185,10 @@ static int leaf(CanonCtx *S, const u8 *cv, int depth)
         for (int d = 0; d <= depth; d++)
             memcpy(S->best_chunks[d], S->cur_chunks[d], S->cur_len[d]);
         memcpy(S->best_code, code, n * sizeof(u64));
-        memcpy(S->best_order, cv, n);
+        memcpy(S->best_order, order, n);
         return 1;
     }
-    if (memcmp(code, S->best_code, n * sizeof(u64)) || !memcmp(cv, S->best_order, n))
+    if (memcmp(code, S->best_code, n * sizeof(u64)) || !memcmp(order, S->best_order, n))
         return 0;
     if (S->nautos == S->autos_cap) {
         int cap = S->autos_cap ? 2 * S->autos_cap : 16;
@@ -202,30 +201,28 @@ static int leaf(CanonCtx *S, const u8 *cv, int depth)
     Auto *a = &S->autos[S->nautos++];
     a->fixed = 0;
     for (int k = 0; k < n; k++) {
-        a->a[cv[k]] = S->best_order[k];
-        if (cv[k] == S->best_order[k])
-            a->fixed |= BIT(cv[k]);
+        a->a[order[k]] = S->best_order[k];
+        if (order[k] == S->best_order[k])
+            a->fixed |= BIT(order[k]);
     }
     return 0;
 }
 
 /* One node of the individualization-refinement tree; see ``_pure.canon_perm``.
- * prefix is the bitmask of the vertices individualized on the way here.
- * Returns 1 if the best leaf changed below this node, 0 if not, -1 when out
- * of memory. */
-static int rec(CanonCtx *S, const u8 *cv_in, const int *cs_in, const u8 *st_in,
-               int ncells, int depth, int tied, u64 prefix)
+ * The node's partition is cell[0..ncells-1] with stable flags st, refined
+ * here in place: the caller builds them for this node alone.  prefix is the
+ * bitmask of the vertices individualized on the way here.  Returns 1 if the
+ * best leaf changed below this node, 0 if not, -1 when out of memory. */
+static int rec(CanonCtx *S, u64 *cell, u8 *st, int ncells, int depth, int tied, u64 prefix)
 {
-    int n = S->n;
-    u8 cv[MAXN], st[MAXN];
-    int cs[MAXN + 1];
-    memcpy(cv, cv_in, n);
-    memcpy(cs, cs_in, (ncells + 1) * sizeof(int));
-    memcpy(st, st_in, ncells);
-    ncells = refine(S->adj, n, cv, cs, st, ncells);
+    ncells = refine(S->adj, cell, st, ncells);
     u8 *chunk = S->cur_chunks[depth];
-    for (int ci = 0; ci < ncells; ci++)
-        chunk[ci] = (u8)(cs[ci + 1] - cs[ci]);
+    int target = -1;
+    for (int ci = 0; ci < ncells; ci++) {
+        chunk[ci] = (u8)__builtin_popcountll(cell[ci]);
+        if (target < 0 && chunk[ci] > 1)
+            target = ci;
+    }
     if (tied && S->nbest) {
         if (depth >= S->nbest)
             return 0; /* an equal prefix and a longer sequence sort after the best */
@@ -236,25 +233,17 @@ static int rec(CanonCtx *S, const u8 *cv_in, const int *cs_in, const u8 *st_in,
             tied = 0;
     }
     S->cur_len[depth] = (u8)ncells;
-    int target = -1;
-    for (int ci = 0; ci < ncells; ci++) {
-        if (cs[ci + 1] - cs[ci] > 1) {
-            target = ci;
-            break;
-        }
-    }
     if (target < 0)
-        return leaf(S, cv, depth);
+        return leaf(S, cell, depth);
 
     /* orbit: the closure of the children tried so far under the stored
      * automorphisms that fix the prefix pointwise */
-    u8 cv2[MAXN], st2[MAXN];
-    int cs2[MAXN + 1];
-    int a = cs[target], b = cs[target + 1];
-    int seen = 0, napp = 0, modified = 0;
+    u64 cell2[MAXN];
+    u8 st2[MAXN];
+    int seen = 0, napp = 0, modified = 0, after = ncells - target - 1;
     u64 orbit = 0;
-    for (int idx = a; idx < b; idx++) {
-        int v = cv[idx];
+    for (u64 left = cell[target]; left; left &= left - 1) {
+        int v = __builtin_ctzll(left);
         if (orbit) {
             if (S->nautos > seen) {
                 int fresh = 0;
@@ -278,20 +267,15 @@ static int rec(CanonCtx *S, const u8 *cv_in, const int *cs_in, const u8 *st_in,
             if (orbit & BIT(v))
                 continue;
         }
-        /* the child: [v] split off in front of the rest of its cell */
-        memcpy(cv2, cv, a);
-        cv2[a] = (u8)v;
-        for (int j = a, p = a + 1; j < b; j++)
-            if (cv[j] != v)
-                cv2[p++] = cv[j];
-        memcpy(cv2 + b, cv + b, n - b);
-        memcpy(cs2, cs, (target + 1) * sizeof(int));
-        cs2[target + 1] = a + 1;
-        memcpy(cs2 + target + 2, cs + target + 1, (ncells - target) * sizeof(int));
+        /* the child: {v} split off in front of the rest of its cell */
+        memcpy(cell2, cell, target * sizeof(u64));
+        cell2[target] = BIT(v);
+        cell2[target + 1] = cell[target] ^ BIT(v);
+        memcpy(cell2 + target + 2, cell + target + 1, after * sizeof(u64));
         memcpy(st2, st, target);
         st2[target] = st2[target + 1] = 0;
-        memcpy(st2 + target + 2, st + target + 1, ncells - target - 1);
-        int r = rec(S, cv2, cs2, st2, ncells + 1, depth + 1, tied, prefix | BIT(v));
+        memcpy(st2 + target + 2, st + target + 1, after);
+        int r = rec(S, cell2, st2, ncells + 1, depth + 1, tied, prefix | BIT(v));
         if (r < 0)
             return -1;
         if (r) {
@@ -303,7 +287,8 @@ static int rec(CanonCtx *S, const u8 *cv_in, const int *cs_in, const u8 *st_in,
     return modified;
 }
 
-/* Reads n, rows and colors into S and runs the search; S->best_order is the
+/* Reads n, rows and colors into S and runs the search from the partition
+ * with one cell per colour, in ascending colour order; S->best_order is the
  * canonical order.  With key_colors, colours must fit a byte and their
  * sorted values are written there.  Returns -1 with an exception set. */
 static int canon_run(CanonCtx *S, PyObject *n_obj, PyObject *rows, PyObject *colors, u8 *key_colors)
@@ -329,10 +314,10 @@ static int canon_run(CanonCtx *S, PyObject *n_obj, PyObject *rows, PyObject *col
             return -1;
         }
     }
-    /* the initial partition: one cell per colour, in ascending colour order */
     long long col[MAXN];
-    u8 cv[MAXN], st[MAXN];
-    int cs[MAXN + 1], ncells = 1;
+    u8 ord[MAXN], st[MAXN] = {0};
+    u64 cell[MAXN] = {0};
+    int ncells = 0;
     for (int i = 0; i < n; i++) {
         col[i] = 0;
         if (colors != Py_None) {
@@ -348,26 +333,24 @@ static int canon_run(CanonCtx *S, PyObject *n_obj, PyObject *rows, PyObject *col
                 return -1;
             }
         }
-        int j = i; /* insertion sort, stable: vertices ascend within a cell */
-        for (; j > 0 && col[cv[j - 1]] > col[i]; j--)
-            cv[j] = cv[j - 1];
-        cv[j] = (u8)i;
+        int j = i; /* insertion sort of the vertices by colour */
+        for (; j > 0 && col[ord[j - 1]] > col[i]; j--)
+            ord[j] = ord[j - 1];
+        ord[j] = (u8)i;
     }
-    cs[0] = 0;
-    for (int i = 1; i < n; i++)
-        if (col[cv[i]] != col[cv[i - 1]])
-            cs[ncells++] = i;
-    cs[ncells] = (int)n;
-    memset(st, 0, ncells);
-    if (key_colors && colors != Py_None)
-        for (int i = 0; i < n; i++)
-            key_colors[i] = (u8)col[cv[i]];
+    for (int i = 0; i < n; i++) {
+        if (i && col[ord[i]] != col[ord[i - 1]])
+            ncells++;
+        cell[ncells] |= BIT(ord[i]);
+        if (key_colors)
+            key_colors[i] = (u8)col[ord[i]];
+    }
     S->nbest = 0;
     S->autos = NULL;
     S->nautos = S->autos_cap = 0;
     memset(S->app, 0, sizeof(S->app));
     memset(S->app_cap, 0, sizeof(S->app_cap));
-    int r = rec(S, cv, cs, st, ncells, 0, 1, 0);
+    int r = rec(S, cell, st, ncells + 1, 0, 1, 0);
     PyMem_Free(S->autos);
     for (int d = 0; d < MAXN; d++)
         PyMem_Free(S->app[d]);

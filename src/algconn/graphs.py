@@ -41,16 +41,12 @@ class Graph:
             if (row >> i) & 1:
                 raise ValueError(f"self-loop at vertex {i}")
             m2 += row.bit_count()
-        for i in range(n):
-            row = rows[i] >> (i + 1)
-            j = i + 1
             while row:
-                if row & 1 and not (rows[j] >> i) & 1:
+                low = row & -row
+                j = low.bit_length() - 1
+                if not (rows[j] >> i) & 1:
                     raise ValueError(f"asymmetric adjacency at ({i}, {j})")
-                row >>= 1
-                j += 1
-        if m2 % 2:
-            raise ValueError("asymmetric adjacency")
+                row ^= low
         self.n = n
         self.rows = rows
         self.m = m2 // 2

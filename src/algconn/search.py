@@ -331,10 +331,16 @@ def maximize_lambda2(
     1e-9 and then by canonical graph6 string, so the outcome is independent
     of thread count.
     """
+    return _best_of(_sweep(family, resolve_threads(threads)), family_name)
+
+
+def _best_of(solved: Iterable[tuple[float, Graph]], family_name: str) -> SearchOutcome:
+    # the maximizers are every graph within 1e-9 of the final best, in
+    # whatever order the pairs arrive
     total = 0
     best = -math.inf
     candidates = []  # (lambda2, graph) within 1e-9 of the running best
-    for val, g in _sweep(family, resolve_threads(threads)):
+    for val, g in solved:
         total += 1
         if val > best:
             best = val
@@ -388,15 +394,20 @@ def maximize_trees(
         raise ValueError("empty family")
     threads = resolve_threads(threads)
 
-    def capped(height):
+    def capped(height, above=-1):
         for layout in _kernels.free_tree_layouts(n, d_max, height):
-            yield _layout_to_graph(layout)
+            if max(layout) > above:
+                yield _layout_to_graph(layout)
 
-    height = _min_tree_height(n, d_max)
-    incumbent = max(val for val, _ in _sweep(capped(height), threads))
+    lowest = _min_tree_height(n, d_max)
+    first = list(_sweep(capped(lowest), threads))
+    incumbent = max(val for val, _ in first)
+    height = lowest
     while height < n and _path_bound(2 * height + 1) >= incumbent - _HEIGHT_CAP_MARGIN:
         height += 1
-    outcome = maximize_lambda2(capped(height), threads=threads, family_name=family_name)
+    # the trees of the lowest height are solved already
+    taller = _sweep(capped(height, lowest), threads)
+    outcome = _best_of(itertools.chain(first, taller), family_name)
     return replace(outcome, enumerated=count_trees(n, d_max))
 
 

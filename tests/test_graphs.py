@@ -76,6 +76,8 @@ def test_from_edges_rejects_bad_input():
         Graph(0, [])
     with pytest.raises(ValueError):
         Graph(2, [2, 0])  # asymmetric: 0~1 but not 1~0
+    with pytest.raises(ValueError):
+        Graph(3, [0, 1, 1])  # 1~0 and 2~0 one way only, below the diagonal
 
 
 def test_graph_equality_and_hash():

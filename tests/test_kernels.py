@@ -1,15 +1,18 @@
 """Compiled kernels must agree with the pure reference, bit for bit.
 
-The compiled side is the in-tree extension when one is importable.
-Otherwise the committed ``_speedups.c`` is compiled into a temporary
-directory and loaded from there, so the cross-checks run wherever a C
-compiler and the Python headers are present.  Two pure kernels are also
-checked against reference versions kept here, with no compiler needed: the
-free-tree walk, which prunes by degree and height prefix, against the
-unpruned walk, and the canonical labeling, which skips stable splitters,
-against the refinement that re-tests every splitter after each split.
+The compiled side is the committed ``_speedups.c``, compiled into a
+temporary directory and loaded from there, so the cross-checks run wherever
+a C compiler and the Python headers are present, and never against a stale
+in-tree build.  Two pure kernels are also checked against reference
+versions kept here, with no compiler needed: the free-tree walk, which
+prunes by degree and height prefix, against the unpruned walk, and the
+canonical labeling, which skips stable splitters, against the refinement
+that re-tests every splitter after each split.  Golden stream hashes pin
+the canonical order itself, which the cross-checks cannot see change when
+both kernels change alike.
 """
 
+import hashlib
 import importlib.util
 import os
 import random
@@ -33,8 +36,6 @@ except ImportError:
 
 @pytest.fixture(scope="module")
 def sp(tmp_path_factory):
-    if IN_TREE is not None:
-        return IN_TREE
     cc = shutil.which("cc")
     include = sysconfig.get_paths()["include"]
     if cc is None or not os.path.exists(os.path.join(include, "Python.h")):
@@ -134,6 +135,7 @@ def test_canon_agrees_on_relabelings_of_named_graphs(sp):
 def test_canon_agrees_on_generator_states(sp, generator_inputs):
     assert len(generator_inputs) > 1000
     for n, rows, colors in generator_inputs:
+        assert _pure.canon_perm(n, rows, colors) == sp.canon_perm(n, rows, colors)
         assert _pure.canon_key(n, rows, colors) == sp.canon_key(n, rows, colors)
 
 
@@ -204,6 +206,29 @@ def test_stable_splitters_match_the_full_scan(monkeypatch, generator_inputs):
     skipping = [_pure.canon_perm(*case) for case in cases]
     monkeypatch.setattr(_pure, "_refine", _restart_refine)
     assert [_pure.canon_perm(*case) for case in cases] == skipping
+
+
+# generator, arguments, count of graph6 lines, and the sha256 of the lines,
+# each followed by a newline
+GOLDEN_STREAMS = [
+    ("enumerate_cubic", (12,), 85,
+     "26ec8f225fcb555cf830bb069bf67ffb964e2b46bc623feae502ade380d36309"),
+    ("enumerate_graphs", (8, 12, 2), 513,
+     "b697dfa050a396d92a7d3bebf103929a74b2c3ac06eff60431eebc90f0c1d02b"),
+]
+
+
+@pytest.mark.parametrize("kernel", ["pure", "compiled"])
+def test_golden_streams(kernel, request, monkeypatch):
+    from algconn import _kernels, search
+    from algconn.graphs import graph6_encode
+
+    module = _pure if kernel == "pure" else request.getfixturevalue("sp")
+    monkeypatch.setattr(_kernels, "canon_key", module.canon_key)
+    for name, args, count, digest in GOLDEN_STREAMS:
+        lines = [graph6_encode(g) + "\n" for g in getattr(search, name)(*args)]
+        assert len(lines) == count, name
+        assert hashlib.sha256("".join(lines).encode()).hexdigest() == digest, name
 
 
 def test_key_byte_layout(sp):

@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from algconn import _kernels
+from algconn import _kernels, search
 from algconn.families import (
     bethe_tree,
     complete,
@@ -377,6 +377,21 @@ def test_maximize_trees_cap(monkeypatch):
     (star_g6,) = maximize_trees(24, 24, threads=1).maximizers
     assert max_degree(graph6_decode(star_g6)) == 23
     assert walked == [3, 4, 1, 1]
+
+
+def test_maximize_trees_solves_each_tree_once(monkeypatch):
+    # 2,056 trees of height <= 4 at n = 20, d <= 3, the 3 of height 3 among
+    # them: the incumbent's trees are not solved again under the cap
+    solved = []
+    solve = search.batched_lambda2
+
+    def record(stack):
+        solved.append(len(stack))
+        return solve(stack)
+
+    monkeypatch.setattr(search, "batched_lambda2", record)
+    maximize_trees(20, 3, threads=1)
+    assert sum(solved) == 2056
 
 
 def test_maximize_trees_thread_invariance():
