@@ -8,11 +8,12 @@ walks visit the same candidates, pruned by the degree cap and, in the
 
 The "partial cubic" row is the input the graph searches send: a cubic graph
 on 14 vertices with half of its vertices closed, coloured by the degree each
-vertex still lacks.  The star K1,39 and the sparse n=40 graph show what the
-kernels' data layout costs: the star's search stores 741 automorphisms
-and closes orbits under them, and the sparse graph's refinement splits
-many cells.  Each time is the mean over ``timeit``'s autorange, at
-least 0.2 s of calls.
+vertex still lacks.  The sparse n=40 graph shows what the kernels' data
+layout costs: its refinement splits many cells.  The star K1,39, the empty
+graph on 40 vertices and K20,20 are made of twin cells, whose vertices
+share their neighbours; the search descends into one child per twin cell,
+so these rows time one path of at most 40 nodes, or three for K20,20.
+Each time is the mean over ``timeit``'s autorange, at least 0.2 s of calls.
 
 Run as:  python3 benchmarks/bench_kernels.py
 """
@@ -44,6 +45,11 @@ def _random_rows(rng, n, p):
     return rows
 
 
+def _complete_bipartite(a, b):
+    left, right = (1 << a) - 1, ((1 << b) - 1) << a
+    return [right] * a + [left] * b
+
+
 def _partial_cubic():
     # the Heawood graph with only the edges that touch vertices 0..6
     g = named("heawood")
@@ -68,6 +74,8 @@ def main():
         "canon_key n=14 partial cubic": _partial_cubic(),
         "canon_key n=40 sparse p=0.1": (40, _random_rows(rng, 40, 0.1), None),
         "canon_key K1,39": (40, [(1 << 40) - 2] + [1] * 39, None),
+        "canon_key empty n=40": (40, [0] * 40, None),
+        "canon_key K20,20": (40, _complete_bipartite(20, 20), None),
     }
 
     print(f"{'benchmark':34s}" + "".join(f"{name:>14s}" for name, _ in impls))

@@ -30,10 +30,13 @@ def _refine(adj, cells, stable):
     skipped, and a splitter joins ``stable`` once applied, since its pieces
     are then uniform against it.  Skipping is exact: the result is the
     partition the scan reaches without it.  On return ``stable`` holds every
-    cell of the result.
+    cell of the result, unless the result is discrete: the scan stops once
+    every cell is a singleton, since no cell can split further, and a leaf
+    of the search never reads ``stable``.
     """
+    n = len(adj)
     si = 0
-    while si < len(cells):
+    while si < len(cells) < n:
         splitter = cells[si]
         if splitter in stable:
             si += 1
@@ -63,6 +66,21 @@ def _refine(adj, cells, stable):
     return cells
 
 
+def _twins(adj, cell):
+    """Whether the vertices of ``cell`` are twins.
+
+    Twins have the same neighbours, which makes the cell a coclique, or the
+    same closed neighbourhoods, which makes it a clique.  Either way they
+    share their neighbours outside the cell, and every permutation of the
+    cell, fixing all other vertices, is an automorphism.
+    """
+    row = adj[cell[0]]
+    if all(adj[v] == row for v in cell):
+        return True
+    row |= 1 << cell[0]
+    return all(adj[v] | 1 << v == row for v in cell)
+
+
 def _close(orbit, frontier, gens):
     """Grow ``orbit`` to its closure under ``gens``, starting from ``frontier``."""
     while frontier:
@@ -90,6 +108,16 @@ def canon_perm(n, rows, colors=None):
     leaves prune sibling branches via orbit closure.  An automorphism maps
     the subtree of one child onto that of another with the same keys, so
     pruning never skips that first minimal leaf.
+
+    Twin cells are pruned without a search (McKay & Piperno, "Practical
+    graph isomorphism, II", 2014).  When the target cell's vertices are
+    twins (see ``_twins``), every permutation of the cell is an automorphism
+    that fixes the prefix, so every child after the first is an image of the
+    first child.  The search descends into the first child only, and stores
+    the transposition of the cell's two smallest vertices, by which the
+    ancestors still prune.  The rule is exact: the subtrees it skips hold
+    only images of leaves of the first child's subtree, and come after it in
+    depth-first order, so none holds the first minimal leaf.
     """
     if n <= 1:
         return tuple(range(n))
@@ -162,6 +190,17 @@ def canon_perm(n, rows, colors=None):
                     autos.append((tuple(a), fixed))
                 return False
             cell = cells[target]
+            if _twins(adj, cell):
+                # every permutation of the cell is an automorphism fixing
+                # the prefix, so each later child is an image of the first
+                v, w = cell[0], cell[1]
+                swap = list(range(n))
+                swap[v], swap[w] = w, v
+                autos.append((tuple(swap), ((1 << n) - 1) ^ (1 << v | 1 << w)))
+                rest = cell[1:]
+                stable.add(rest)  # this node reads its set no more
+                sub = cells[:target] + [(v,), rest] + cells[target + 1 :]
+                return rec(sub, stable, depth + 1, tied, prefix | 1 << v)
             # orbit: the closure of the children tried so far under the
             # stored automorphisms that fix the prefix pointwise
             applicable = []
@@ -179,7 +218,9 @@ def canon_perm(n, rows, colors=None):
                         continue
                 rest = cell[:i] + cell[i + 1 :]
                 sub = cells[:target] + [(v,), rest] + cells[target + 1 :]
-                if rec(sub, set(stable), depth + 1, tied, prefix | 1 << v):
+                # every cell is uniform against the cell and, once {v} is
+                # applied, against v: so against rest, which cannot split
+                if rec(sub, stable | {rest}, depth + 1, tied, prefix | 1 << v):
                     modified = True
                     tied = True  # new best shares this node's chunk prefix
                 orbit.add(v)

@@ -61,13 +61,15 @@ typedef struct {
  * ``_pure`` this is a set of cells; a flag per cell is the same set, since
  * the set holds only cells of this partition or of coarser ones, and a
  * piece cut from a cell is neither.  A stable splitter is skipped, and a
- * splitter becomes stable once applied; on return every cell is stable. */
-static int refine(const u64 *adj, u64 *cell, u8 *st, int ncells)
+ * splitter becomes stable once applied; on return every cell is stable,
+ * unless the partition is discrete: the scan stops at n cells, and a leaf
+ * never reads st. */
+static int refine(const u64 *adj, int n, u64 *cell, u8 *st, int ncells)
 {
     u64 ncell[MAXN];
     u8 nst[MAXN], cnt[MAXN];
     int si = 0;
-    while (si < ncells) {
+    while (si < ncells && ncells < n) {
         if (st[si]) {
             si++;
             continue;
@@ -125,6 +127,34 @@ static int cmp_chunk(const u8 *a, int la, const u8 *b, int lb)
         if (a[i] != b[i])
             return a[i] < b[i] ? -1 : 1;
     return la == lb ? 0 : (la < lb ? -1 : 1);
+}
+
+/* 1 if the vertices of cell c are twins: they have the same neighbours, so c
+ * is a coclique, or the same closed neighbourhoods, so c is a clique.  Either
+ * way every permutation of c is an automorphism; see ``_pure._twins``. */
+static int twins(const u64 *adj, u64 c)
+{
+    int v = __builtin_ctzll(c), open = 1, closed = 1;
+    for (u64 r = c & (c - 1); r; r &= r - 1) {
+        int w = __builtin_ctzll(r);
+        open &= adj[w] == adj[v];
+        closed &= (adj[w] | BIT(w)) == (adj[v] | BIT(v));
+    }
+    return open || closed;
+}
+
+/* A fresh slot at the end of S->autos, or NULL when out of memory. */
+static Auto *new_auto(CanonCtx *S)
+{
+    if (S->nautos == S->autos_cap) {
+        int cap = S->autos_cap ? 2 * S->autos_cap : 16;
+        Auto *grown = PyMem_Realloc(S->autos, cap * sizeof(Auto));
+        if (!grown)
+            return NULL;
+        S->autos = grown;
+        S->autos_cap = cap;
+    }
+    return &S->autos[S->nautos++];
 }
 
 /* The closure of orbit under the applicable automorphisms, grown from the
@@ -190,15 +220,9 @@ static int leaf(CanonCtx *S, const u64 *cell, int depth)
     }
     if (memcmp(code, S->best_code, n * sizeof(u64)) || !memcmp(order, S->best_order, n))
         return 0;
-    if (S->nautos == S->autos_cap) {
-        int cap = S->autos_cap ? 2 * S->autos_cap : 16;
-        Auto *grown = PyMem_Realloc(S->autos, cap * sizeof(Auto));
-        if (!grown)
-            return -1;
-        S->autos = grown;
-        S->autos_cap = cap;
-    }
-    Auto *a = &S->autos[S->nautos++];
+    Auto *a = new_auto(S);
+    if (!a)
+        return -1;
     a->fixed = 0;
     for (int k = 0; k < n; k++) {
         a->a[order[k]] = S->best_order[k];
@@ -212,10 +236,18 @@ static int leaf(CanonCtx *S, const u64 *cell, int depth)
  * The node's partition is cell[0..ncells-1] with stable flags st, refined
  * here in place: the caller builds them for this node alone.  prefix is the
  * bitmask of the vertices individualized on the way here.  Returns 1 if the
- * best leaf changed below this node, 0 if not, -1 when out of memory. */
+ * best leaf changed below this node, 0 if not, -1 when out of memory.
+ *
+ * When the target cell's vertices are twins, every permutation of the cell
+ * is an automorphism fixing the prefix, so every later child is an image of
+ * the first: the node descends into the first child only, and stores the
+ * transposition of the cell's two smallest vertices for the ancestors to
+ * prune by.  This is exact, as in ``_pure``: a skipped subtree holds only
+ * images of leaves of the first child's subtree and comes after it in
+ * depth-first order, so none holds the first minimal leaf. */
 static int rec(CanonCtx *S, u64 *cell, u8 *st, int ncells, int depth, int tied, u64 prefix)
 {
-    ncells = refine(S->adj, cell, st, ncells);
+    ncells = refine(S->adj, S->n, cell, st, ncells);
     u8 *chunk = S->cur_chunks[depth];
     int target = -1;
     for (int ci = 0; ci < ncells; ci++) {
@@ -235,6 +267,20 @@ static int rec(CanonCtx *S, u64 *cell, u8 *st, int ncells, int depth, int tied, 
     S->cur_len[depth] = (u8)ncells;
     if (target < 0)
         return leaf(S, cell, depth);
+
+    int twin = twins(S->adj, cell[target]);
+    if (twin) {
+        u64 c = cell[target];
+        int v = __builtin_ctzll(c), w = __builtin_ctzll(c & (c - 1));
+        Auto *a = new_auto(S);
+        if (!a)
+            return -1;
+        for (int k = 0; k < S->n; k++)
+            a->a[k] = (u8)k;
+        a->a[v] = (u8)w;
+        a->a[w] = (u8)v;
+        a->fixed = ~(BIT(v) | BIT(w));
+    }
 
     /* orbit: the closure of the children tried so far under the stored
      * automorphisms that fix the prefix pointwise */
@@ -273,11 +319,16 @@ static int rec(CanonCtx *S, u64 *cell, u8 *st, int ncells, int depth, int tied, 
         cell2[target + 1] = cell[target] ^ BIT(v);
         memcpy(cell2 + target + 2, cell + target + 1, after * sizeof(u64));
         memcpy(st2, st, target);
-        st2[target] = st2[target + 1] = 0;
+        /* every cell is uniform against the cell and, once {v} is applied,
+         * against v: so against the rest, which cannot split */
+        st2[target] = 0;
+        st2[target + 1] = st[target];
         memcpy(st2 + target + 2, st + target + 1, after);
         int r = rec(S, cell2, st2, ncells + 1, depth + 1, tied, prefix | BIT(v));
         if (r < 0)
             return -1;
+        if (twin)
+            return r; /* every later child is an image of this one */
         if (r) {
             modified = 1;
             tied = 1; /* the new best shares this node's chunk prefix */
