@@ -13,6 +13,9 @@ layout costs: its refinement splits many cells.  The star K1,39, the empty
 graph on 40 vertices and K20,20 are made of twin cells, whose vertices
 share their neighbours; the search descends into one child per twin cell,
 so these rows time one path of at most 40 nodes, or three for K20,20.
+The hypercube Q6 and the Paley graph P(61) are vertex-transitive without
+twin cells: their searches store automorphisms at leaves with equal codes
+and prune by orbits, so these rows time the automorphism path.
 Each time is the mean over ``timeit``'s autorange, at least 0.2 s of calls.
 
 Run as:  python3 benchmarks/bench_kernels.py
@@ -50,6 +53,16 @@ def _complete_bipartite(a, b):
     return [right] * a + [left] * b
 
 
+def _hypercube(d):
+    n = 1 << d
+    return [sum(1 << (v ^ 1 << i) for i in range(d)) for v in range(n)]
+
+
+def _paley(q):
+    squares = {x * x % q for x in range(1, q)}
+    return [sum(1 << j for j in range(q) if (i - j) % q in squares) for i in range(q)]
+
+
 def _partial_cubic():
     # the Heawood graph with only the edges that touch vertices 0..6
     g = named("heawood")
@@ -76,6 +89,8 @@ def main():
         "canon_key K1,39": (40, [(1 << 40) - 2] + [1] * 39, None),
         "canon_key empty n=40": (40, [0] * 40, None),
         "canon_key K20,20": (40, _complete_bipartite(20, 20), None),
+        "canon_key Q6": (64, _hypercube(6), None),
+        "canon_key Paley(61)": (61, _paley(61), None),
     }
 
     print(f"{'benchmark':34s}" + "".join(f"{name:>14s}" for name, _ in impls))

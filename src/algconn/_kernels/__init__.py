@@ -2,8 +2,10 @@
 
 Both backends run the same algorithms and give the same results; see
 ``_pure``, the reference.  Set ``ALGCONN_PURE=1`` to force the pure fallback
-even when the extension is built (used by the benchmark and the
-cross-implementation tests).
+even when the extension is built; the benchmark runs that way, and
+``test_pure_env_forces_fallback`` checks it.  The cross-implementation tests
+do not use it: they build ``_speedups.c`` themselves and compare that build
+with ``_pure`` directly.
 """
 
 import os

@@ -8,7 +8,10 @@ and this module is both the fallback and the reference the extension is
 tested against.
 
 Graphs are passed as ``(n, rows)`` where ``rows[i]`` is an integer bitmask of
-the neighbours of vertex ``i``.  All functions here assume ``n <= 64``.
+the neighbours of vertex ``i``.  The entry points take ``1 <= n <= 64`` and
+raise ``ValueError`` otherwise, with the compiled kernels' message (the
+tree walk, a generator, on its first step); a short ``rows`` or ``colors``
+or a neighbour ``>= n`` raises ``IndexError``.
 """
 
 from __future__ import annotations
@@ -109,6 +112,19 @@ def canon_perm(n, rows, colors=None):
     the subtree of one child onto that of another with the same keys, so
     pruning never skips that first minimal leaf.
 
+    The best leaf's chunk path is written as the search descends.  A tied
+    node has the best's chunks at every depth so far, and only compares.  An
+    untied node sorts before the best, and so does every leaf below it: the
+    first one reached becomes the new best, so the node truncates the best
+    path at its depth and writes its own chunk there, and its first child
+    writes on.  The root is untied, as there is no best yet.  A leaf then
+    wins if it is untied, or tied with a smaller code; a tied leaf with an
+    equal code is the best leaf's image under an automorphism.  No tied node
+    lies below the best leaf, whose chunk is the discrete partition: the
+    node's parent, tied too, has the chunk the best path has at its depth,
+    which is not discrete, so the best path always reaches a tied node's
+    depth.
+
     Twin cells are pruned without a search (McKay & Piperno, "Practical
     graph isomorphism, II", 2014).  When the target cell's vertices are
     twins (see ``_twins``), every permutation of the cell is an automorphism
@@ -119,8 +135,8 @@ def canon_perm(n, rows, colors=None):
     only images of leaves of the first child's subtree, and come after it in
     depth-first order, so none holds the first minimal leaf.
     """
-    if n <= 1:
-        return tuple(range(n))
+    if not 1 <= n <= 64:
+        raise ValueError("the kernels support 1 <= n <= 64")
     adj = rows
     if colors is None:
         cells = [tuple(range(n))]
@@ -130,106 +146,99 @@ def canon_perm(n, rows, colors=None):
             by.setdefault(colors[v], []).append(v)
         cells = [tuple(by[c]) for c in sorted(by)]
 
-    best_chunks = None
+    best_chunks = []  # the chunk path of the best leaf, written as found
     best_code = None
     best_order = None
     autos = []  # (permutation, bitmask of its fixed points)
-    cur_chunks = []
 
     def rec(cells, stable, depth, tied, prefix):
         # prefix: bitmask of the vertices individualized on the way here
-        nonlocal best_chunks, best_code, best_order
+        nonlocal best_code, best_order
         cells = _refine(adj, cells, stable)
         chunk = tuple(map(len, cells))
-        if tied and best_chunks is not None:
-            if depth < len(best_chunks):
-                bc = best_chunks[depth]
-                if chunk > bc:
-                    return False
-                if chunk < bc:
-                    tied = False
-            else:
-                # equal prefix but a longer chunk sequence sorts after the
-                # current best, so nothing below can win
+        if tied:
+            bc = best_chunks[depth]
+            if chunk > bc:
                 return False
-        cur_chunks.append(chunk)
+            tied = chunk == bc
+        if not tied:
+            # every leaf below sorts before the best: the first one reached
+            # is the new best, and its path starts with this one
+            del best_chunks[depth:]
+            best_chunks.append(chunk)
+        target = -1
+        for ci, cell in enumerate(cells):
+            if len(cell) > 1:
+                target = ci
+                break
+        if target < 0:
+            order = tuple(c[0] for c in cells)
+            pos = [0] * n
+            for k, v in enumerate(order):
+                pos[v] = k
+            # code[k]: the neighbours of order[k] among positions < k
+            code = []
+            for k, v in enumerate(order):
+                row = adj[v]
+                c = 0
+                while row:
+                    low = row & -row
+                    c |= 1 << pos[low.bit_length() - 1]
+                    row ^= low
+                code.append(c & ((1 << k) - 1))
+            code = tuple(code)
+            if not tied or code < best_code:
+                best_code, best_order = code, order
+                return True
+            if code == best_code:
+                a = [0] * n
+                fixed = 0
+                for v, w in zip(order, best_order):
+                    a[v] = w
+                    if v == w:
+                        fixed |= 1 << v
+                autos.append((tuple(a), fixed))
+            return False
+        cell = cells[target]
+        twin = _twins(adj, cell)
+        if twin:
+            # every permutation of the cell is an automorphism fixing the
+            # prefix, so each later child is an image of the first
+            v, w = cell[0], cell[1]
+            swap = list(range(n))
+            swap[v], swap[w] = w, v
+            autos.append((tuple(swap), ((1 << n) - 1) ^ (1 << v | 1 << w)))
+        # orbit: the closure of the children tried so far under the stored
+        # automorphisms that fix the prefix pointwise
+        applicable = []
+        seen = 0
+        orbit = set()
         modified = False
-        try:
-            target = -1
-            for ci, cell in enumerate(cells):
-                if len(cell) > 1:
-                    target = ci
-                    break
-            if target < 0:
-                order = tuple(c[0] for c in cells)
-                pos = [0] * n
-                for k, v in enumerate(order):
-                    pos[v] = k
-                # code[k]: the neighbours of order[k] among positions < k
-                code = []
-                for k, v in enumerate(order):
-                    row = adj[v]
-                    c = 0
-                    while row:
-                        low = row & -row
-                        c |= 1 << pos[low.bit_length() - 1]
-                        row ^= low
-                    code.append(c & ((1 << k) - 1))
-                code = tuple(code)
-                key = (tuple(cur_chunks), code)
-                if best_chunks is None or key < (best_chunks, best_code):
-                    best_chunks, best_code, best_order = key[0], code, order
-                    return True
-                if code == best_code and order != best_order:
-                    a = [0] * n
-                    fixed = 0
-                    for v, w in zip(order, best_order):
-                        a[v] = w
-                        if v == w:
-                            fixed |= 1 << v
-                    autos.append((tuple(a), fixed))
-                return False
-            cell = cells[target]
-            if _twins(adj, cell):
-                # every permutation of the cell is an automorphism fixing
-                # the prefix, so each later child is an image of the first
-                v, w = cell[0], cell[1]
-                swap = list(range(n))
-                swap[v], swap[w] = w, v
-                autos.append((tuple(swap), ((1 << n) - 1) ^ (1 << v | 1 << w)))
-                rest = cell[1:]
+        for i, v in enumerate(cell):
+            if orbit:
+                if len(autos) > seen:
+                    fresh = [a for a, fixed in autos[seen:] if not prefix & ~fixed]
+                    seen = len(autos)
+                    if fresh:
+                        applicable += fresh
+                        _close(orbit, list(orbit), applicable)
+                if v in orbit:
+                    continue
+            rest = cell[:i] + cell[i + 1 :]
+            sub = cells[:target] + [(v,), rest] + cells[target + 1 :]
+            # every cell is uniform against the cell and, once {v} is
+            # applied, against v: so against rest, which cannot split
+            if twin:
                 stable.add(rest)  # this node reads its set no more
-                sub = cells[:target] + [(v,), rest] + cells[target + 1 :]
                 return rec(sub, stable, depth + 1, tied, prefix | 1 << v)
-            # orbit: the closure of the children tried so far under the
-            # stored automorphisms that fix the prefix pointwise
-            applicable = []
-            seen = 0
-            orbit = set()
-            for i, v in enumerate(cell):
-                if orbit:
-                    if len(autos) > seen:
-                        fresh = [a for a, fixed in autos[seen:] if not prefix & ~fixed]
-                        seen = len(autos)
-                        if fresh:
-                            applicable += fresh
-                            _close(orbit, list(orbit), applicable)
-                    if v in orbit:
-                        continue
-                rest = cell[:i] + cell[i + 1 :]
-                sub = cells[:target] + [(v,), rest] + cells[target + 1 :]
-                # every cell is uniform against the cell and, once {v} is
-                # applied, against v: so against rest, which cannot split
-                if rec(sub, stable | {rest}, depth + 1, tied, prefix | 1 << v):
-                    modified = True
-                    tied = True  # new best shares this node's chunk prefix
-                orbit.add(v)
-                _close(orbit, [v], applicable)
-            return modified
-        finally:
-            cur_chunks.pop()
+            if rec(sub, stable | {rest}, depth + 1, tied, prefix | 1 << v):
+                modified = True
+                tied = True  # new best shares this node's chunk prefix
+            orbit.add(v)
+            _close(orbit, [v], applicable)
+        return modified
 
-    rec(cells, set(), 0, True, 0)
+    rec(cells, set(), 0, False, 0)
     return best_order
 
 
@@ -323,7 +332,7 @@ def _split_layout(layout):
 
 def _is_free_canonical(layout):
     left, rest = _split_layout(layout)
-    left_height = max(left)
+    left_height = max(left) if left else 0  # n = 1 has no first subtree
     rest_height = max(rest)
     if rest_height < left_height:
         return False
@@ -379,17 +388,15 @@ def free_tree_layouts(n, dmax, max_height=None):
 
     Exactly one representative per isomorphism class, in the successor
     order of the underlying enumeration.  With ``max_height``, only the
-    layouts whose deepest level is at most that are yielded.
+    layouts whose deepest level is at most that are yielded.  The walk
+    needs no special case: n <= 2 and dmax < 2 fall out of the caps.
     """
+    if not 1 <= n <= 64:
+        raise ValueError("the kernels support 1 <= n <= 64")
     if max_height is None:
         max_height = n
-    if n in (1, 2):
-        # the one tree: a single vertex, or an edge of height 1
-        if (n == 1 or dmax >= 1) and n - 1 <= max_height:
-            yield tuple(range(n))
-        return
-    if dmax < 2:
-        return
+    if max_height < 0:
+        return  # the caps never test the root
     layout = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))
     while layout is not None:
         layout = _next_free_tree(layout)

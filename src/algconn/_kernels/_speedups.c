@@ -34,21 +34,15 @@ typedef struct {
 typedef struct {
     int n;
     u64 adj[MAXN];
-    /* the best key so far: nbest chunks (0 before the first leaf), then code */
-    int nbest;
+    /* the best key so far: the chunk path, written as the search descends
+     * (see rec), then the code of the leaf */
     u8 best_len[MAXN];
     u8 best_chunks[MAXN][MAXN];
     u64 best_code[MAXN];
     u8 best_order[MAXN];
-    /* the chunks on the path to the current node, one per depth */
-    u8 cur_len[MAXN];
-    u8 cur_chunks[MAXN][MAXN];
     /* every automorphism found, without a cap */
     Auto *autos;
     int nautos, autos_cap;
-    /* per depth: indices of the stored automorphisms that fix the prefix */
-    int *app[MAXN];
-    int app_cap[MAXN];
 } CanonCtx;
 
 /* Equitable refinement of the ordered partition cell[0..ncells-1], in
@@ -157,15 +151,17 @@ static Auto *new_auto(CanonCtx *S)
     return &S->autos[S->nautos++];
 }
 
-/* The closure of orbit under the applicable automorphisms, grown from the
- * vertices in frontier. */
-static u64 close_orbit(const CanonCtx *S, u64 orbit, u64 frontier, const int *app, int napp)
+/* The closure of orbit under the stored automorphisms that fix prefix
+ * pointwise, grown from the vertices in frontier. */
+static u64 close_orbit(const CanonCtx *S, u64 orbit, u64 frontier, u64 prefix)
 {
     while (frontier) {
         int u = __builtin_ctzll(frontier);
         frontier &= frontier - 1;
-        for (int k = 0; k < napp; k++) {
-            u64 w = BIT(S->autos[app[k]].a[u]);
+        for (int k = 0; k < S->nautos; k++) {
+            if (prefix & ~S->autos[k].fixed)
+                continue;
+            u64 w = BIT(S->autos[k].a[u]);
             if (!(orbit & w)) {
                 orbit |= w;
                 frontier |= w;
@@ -176,8 +172,11 @@ static u64 close_orbit(const CanonCtx *S, u64 orbit, u64 frontier, const int *ap
 }
 
 /* A leaf: every cell is a singleton, and the cells in order are the
- * candidate order.  Returns 1 if it is the new best. */
-static int leaf(CanonCtx *S, const u64 *cell, int depth)
+ * candidate order.  An untied leaf sorts before the best, and rec has
+ * written its chunk path already; a tied leaf has the best's chunk path, so
+ * its code decides, and an equal code makes it an image of the best leaf.
+ * Returns 1 if it is the new best, -1 when out of memory. */
+static int leaf(CanonCtx *S, const u64 *cell, int tied)
 {
     int n = S->n;
     u8 order[MAXN], pos[MAXN];
@@ -193,38 +192,21 @@ static int leaf(CanonCtx *S, const u64 *cell, int depth)
             c |= BIT(pos[__builtin_ctzll(row)]);
         code[k] = c & (BIT(k) - 1);
     }
-    int cmp = 0;
-    if (S->nbest) {
-        int m = depth + 1 < S->nbest ? depth + 1 : S->nbest;
-        for (int d = 0; d < m && !cmp; d++)
-            cmp = cmp_chunk(S->cur_chunks[d], S->cur_len[d], S->best_chunks[d], S->best_len[d]);
-        if (!cmp && depth + 1 != S->nbest)
-            cmp = depth + 1 < S->nbest ? -1 : 1;
-        if (!cmp) {
-            for (int k = 0; k < n; k++) {
-                if (code[k] != S->best_code[k]) {
-                    cmp = code[k] < S->best_code[k] ? -1 : 1;
-                    break;
-                }
-            }
-        }
-    }
-    if (!S->nbest || cmp < 0) {
-        S->nbest = depth + 1;
-        memcpy(S->best_len, S->cur_len, depth + 1);
-        for (int d = 0; d <= depth; d++)
-            memcpy(S->best_chunks[d], S->cur_chunks[d], S->cur_len[d]);
+    int k = 0;
+    while (tied && k < n && code[k] == S->best_code[k])
+        k++;
+    if (!tied || (k < n && code[k] < S->best_code[k])) {
         memcpy(S->best_code, code, n * sizeof(u64));
         memcpy(S->best_order, order, n);
         return 1;
     }
-    if (memcmp(code, S->best_code, n * sizeof(u64)) || !memcmp(order, S->best_order, n))
+    if (k < n)
         return 0;
     Auto *a = new_auto(S);
     if (!a)
         return -1;
     a->fixed = 0;
-    for (int k = 0; k < n; k++) {
+    for (k = 0; k < n; k++) {
         a->a[order[k]] = S->best_order[k];
         if (order[k] == S->best_order[k])
             a->fixed |= BIT(order[k]);
@@ -238,6 +220,15 @@ static int leaf(CanonCtx *S, const u64 *cell, int depth)
  * bitmask of the vertices individualized on the way here.  Returns 1 if the
  * best leaf changed below this node, 0 if not, -1 when out of memory.
  *
+ * The best chunk path is written as the search descends.  A tied node has
+ * the best's chunks at every depth so far and only compares.  An untied
+ * node sorts before the best, and so does every leaf below it; the first
+ * such leaf becomes the new best, so the node writes its chunk at its depth,
+ * and the path below follows.  The root is untied, as there is no best yet.
+ * A tied node is never below the best leaf: its parent, tied too, has the
+ * chunk the best path has at that depth, which is not discrete, so the best
+ * path goes deeper, and best_chunks[depth] is always there to compare.
+ *
  * When the target cell's vertices are twins, every permutation of the cell
  * is an automorphism fixing the prefix, so every later child is an image of
  * the first: the node descends into the first child only, and stores the
@@ -248,25 +239,25 @@ static int leaf(CanonCtx *S, const u64 *cell, int depth)
 static int rec(CanonCtx *S, u64 *cell, u8 *st, int ncells, int depth, int tied, u64 prefix)
 {
     ncells = refine(S->adj, S->n, cell, st, ncells);
-    u8 *chunk = S->cur_chunks[depth];
+    u8 chunk[MAXN];
     int target = -1;
     for (int ci = 0; ci < ncells; ci++) {
         chunk[ci] = (u8)__builtin_popcountll(cell[ci]);
         if (target < 0 && chunk[ci] > 1)
             target = ci;
     }
-    if (tied && S->nbest) {
-        if (depth >= S->nbest)
-            return 0; /* an equal prefix and a longer sequence sort after the best */
+    if (tied) {
         int cmp = cmp_chunk(chunk, ncells, S->best_chunks[depth], S->best_len[depth]);
         if (cmp > 0)
             return 0;
-        if (cmp < 0)
-            tied = 0;
+        tied = cmp == 0;
     }
-    S->cur_len[depth] = (u8)ncells;
+    if (!tied) {
+        S->best_len[depth] = (u8)ncells;
+        memcpy(S->best_chunks[depth], chunk, ncells);
+    }
     if (target < 0)
-        return leaf(S, cell, depth);
+        return leaf(S, cell, tied);
 
     int twin = twins(S->adj, cell[target]);
     if (twin) {
@@ -283,36 +274,16 @@ static int rec(CanonCtx *S, u64 *cell, u8 *st, int ncells, int depth, int tied, 
     }
 
     /* orbit: the closure of the children tried so far under the stored
-     * automorphisms that fix the prefix pointwise */
+     * automorphisms that fix the prefix pointwise; it grows from the last
+     * child alone unless automorphisms were stored since the last closure */
     u64 cell2[MAXN];
     u8 st2[MAXN];
-    int seen = 0, napp = 0, modified = 0, after = ncells - target - 1;
+    int seen = S->nautos, modified = 0, after = ncells - target - 1;
     u64 orbit = 0;
     for (u64 left = cell[target]; left; left &= left - 1) {
         int v = __builtin_ctzll(left);
-        if (orbit) {
-            if (S->nautos > seen) {
-                int fresh = 0;
-                for (; seen < S->nautos; seen++) {
-                    if (prefix & ~S->autos[seen].fixed)
-                        continue;
-                    if (napp == S->app_cap[depth]) {
-                        int cap = napp ? 2 * napp : 16;
-                        int *grown = PyMem_Realloc(S->app[depth], cap * sizeof(int));
-                        if (!grown)
-                            return -1;
-                        S->app[depth] = grown;
-                        S->app_cap[depth] = cap;
-                    }
-                    S->app[depth][napp++] = seen;
-                    fresh = 1;
-                }
-                if (fresh)
-                    orbit = close_orbit(S, orbit, orbit, S->app[depth], napp);
-            }
-            if (orbit & BIT(v))
-                continue;
-        }
+        if (orbit & BIT(v))
+            continue;
         /* the child: {v} split off in front of the rest of its cell */
         memcpy(cell2, cell, target * sizeof(u64));
         cell2[target] = BIT(v);
@@ -325,15 +296,15 @@ static int rec(CanonCtx *S, u64 *cell, u8 *st, int ncells, int depth, int tied, 
         st2[target + 1] = st[target];
         memcpy(st2 + target + 2, st + target + 1, after);
         int r = rec(S, cell2, st2, ncells + 1, depth + 1, tied, prefix | BIT(v));
-        if (r < 0)
-            return -1;
-        if (twin)
-            return r; /* every later child is an image of this one */
+        if (r < 0 || twin)
+            return r; /* a twin node's later children are images of this one */
         if (r) {
             modified = 1;
             tied = 1; /* the new best shares this node's chunk prefix */
         }
-        orbit = close_orbit(S, orbit | BIT(v), BIT(v), S->app[depth], napp);
+        orbit |= BIT(v);
+        orbit = close_orbit(S, orbit, S->nautos > seen ? orbit : BIT(v), prefix);
+        seen = S->nautos;
     }
     return modified;
 }
@@ -348,7 +319,7 @@ static int canon_run(CanonCtx *S, PyObject *n_obj, PyObject *rows, PyObject *col
     if (n == -1 && PyErr_Occurred())
         return -1;
     if (n < 1 || n > MAXN) {
-        PyErr_SetString(PyExc_ValueError, "compiled kernel supports 1 <= n <= 64");
+        PyErr_SetString(PyExc_ValueError, "the kernels support 1 <= n <= 64");
         return -1;
     }
     S->n = (int)n;
@@ -396,15 +367,10 @@ static int canon_run(CanonCtx *S, PyObject *n_obj, PyObject *rows, PyObject *col
         if (key_colors)
             key_colors[i] = (u8)col[ord[i]];
     }
-    S->nbest = 0;
     S->autos = NULL;
     S->nautos = S->autos_cap = 0;
-    memset(S->app, 0, sizeof(S->app));
-    memset(S->app_cap, 0, sizeof(S->app_cap));
-    int r = rec(S, cell, st, ncells + 1, 0, 1, 0);
+    int r = rec(S, cell, st, ncells + 1, 0, 0, 0);
     PyMem_Free(S->autos);
-    for (int d = 0; d < MAXN; d++)
-        PyMem_Free(S->app[d]);
     if (r < 0) {
         PyErr_NoMemory();
         return -1;
@@ -627,7 +593,7 @@ static PyObject *free_tree_layouts(PyObject *self, PyObject *args, PyObject *kwa
     if (!PyArg_ParseTupleAndKeywords(args, kwargs, "ii|O", kwlist, &n, &dmax, &height_obj))
         return NULL;
     if (n < 1 || n > MAXN) {
-        PyErr_SetString(PyExc_ValueError, "compiled kernel supports 1 <= n <= 64");
+        PyErr_SetString(PyExc_ValueError, "the kernels support 1 <= n <= 64");
         return NULL;
     }
     long max_height = n;
@@ -637,20 +603,6 @@ static PyObject *free_tree_layouts(PyObject *self, PyObject *args, PyObject *kwa
             return NULL;
         if (max_height > n)
             max_height = n;
-        if (max_height < -1)
-            max_height = -1;
-    }
-    if (n <= 2 || dmax < 2) {
-        /* at most one tree: a single vertex, or an edge of height 1 */
-        PyObject *found = !((n == 1 || (n == 2 && dmax >= 1)) && n - 1 <= max_height)
-                              ? PyTuple_New(0)
-                              : n == 1 ? Py_BuildValue("((i))", 0)
-                                       : Py_BuildValue("((ii))", 0, 1);
-        if (!found)
-            return NULL;
-        PyObject *it = PyObject_GetIter(found);
-        Py_DECREF(found);
-        return it;
     }
     TreeWalk *w = PyObject_New(TreeWalk, &TreeWalkType);
     if (!w)
@@ -658,7 +610,7 @@ static PyObject *free_tree_layouts(PyObject *self, PyObject *args, PyObject *kwa
     w->n = n;
     w->dmax = dmax;
     w->max_height = (int)max_height;
-    w->done = 0;
+    w->done = max_height < 0; /* the caps never test the root */
     for (int i = 0; i <= n / 2; i++)
         w->lay[i] = i;
     for (int i = 1; i < (n + 1) / 2; i++)

@@ -8,9 +8,9 @@ versions kept here, with no compiler needed: the free-tree walk, which
 prunes by degree and height prefix, against the unpruned walk, and the
 canonical labeling, which skips stable splitters, against the refinement
 that re-tests every splitter after each split.  Golden hashes of streams,
-and of the canonical orders of graphs made of twin cells, pin the canonical
-order itself, which the cross-checks cannot see change when both kernels
-change alike.
+and of the canonical orders of graphs made of twin cells and of
+vertex-transitive graphs, pin the canonical order itself, which the
+cross-checks cannot see change when both kernels change alike.
 """
 
 import hashlib
@@ -329,6 +329,62 @@ def test_golden_twin_orders(kernel, request):
     assert hashlib.sha256(text.encode()).hexdigest() == TWIN_ORDERS_SHA256
 
 
+def _vertex_transitive_graphs():
+    # (n, rows) of vertex-transitive graphs without twin cells, each
+    # relabeled at random: the hypercubes Q3-Q6, cycles, the Paley graphs
+    # P(13), P(37) and P(61), tori C_a x C_b, and the Petersen, Heawood and
+    # Tutte-Coxeter graphs.  Their searches reach many leaves with equal
+    # codes, so the orders rest on the automorphisms stored there and on the
+    # orbit closure that prunes by them
+    from algconn.families import named
+
+    graphs = []
+    for d in range(3, 7):
+        n = 1 << d
+        graphs.append((n, [sum(1 << (v ^ 1 << i) for i in range(d)) for v in range(n)]))
+    for n in (5, 7, 8, 12, 17, 24, 32, 45, 64):
+        graphs.append((n, [1 << (i + 1) % n | 1 << (i - 1) % n for i in range(n)]))
+    for q in (13, 37, 61):
+        squares = {x * x % q for x in range(1, q)}
+        rows = [sum(1 << j for j in range(q) if (i - j) % q in squares) for i in range(q)]
+        graphs.append((q, rows))
+    for a, b in ((3, 3), (3, 5), (4, 4), (4, 6), (5, 5), (6, 6), (7, 7), (8, 8)):
+        rows = []
+        for i in range(a):
+            for j in range(b):
+                steps = ((i + 1, j), (i - 1, j), (i, j + 1), (i, j - 1))
+                rows.append(sum(1 << (x % a * b + y % b) for x, y in steps))
+        graphs.append((a * b, rows))
+    for name in ("petersen", "heawood", "tutte_coxeter"):
+        g = named(name)
+        graphs.append((g.n, list(g.rows)))
+    rng = random.Random(15)
+    out = []
+    for n, rows in graphs:
+        perm = list(range(n))
+        rng.shuffle(perm)
+        out.append((n, _relabel(rows, perm)))
+    return out
+
+
+# sha256 of the canon_perm orders of _vertex_transitive_graphs(), one line
+# each of the vertices separated by spaces, as both kernels gave them before
+# the search wrote its best chunk path in place
+TRANSITIVE_ORDERS_SHA256 = "50eb4bc50cc9eacbc15bffbd03aac2158a8bd1b076f7fd0fd3db82531fd4e9eb"
+
+
+@pytest.mark.parametrize("kernel", ["pure", "compiled"])
+def test_golden_vertex_transitive_orders(kernel, request):
+    module = _pure if kernel == "pure" else request.getfixturevalue("sp")
+    graphs = _vertex_transitive_graphs()
+    assert len(graphs) == 27
+    text = "".join(
+        " ".join(map(str, module.canon_perm(n, rows))) + "\n" for n, rows in graphs
+    )
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == TRANSITIVE_ORDERS_SHA256
+
+
 def test_twin_cells_bound_the_search(monkeypatch):
     # the empty graph and the star are one twin cell each after the first
     # refinement, so the search is one path of at most n nodes; without the
@@ -364,9 +420,13 @@ def test_key_byte_layout(sp):
 
 
 def _unpruned_tree_layouts(n, dmax):
-    # the walk before degree pruning: every free tree, filtered afterwards
+    # the walk before degree pruning: every free tree, filtered afterwards.
+    # The walk starts from two root children, so the smallest cases are
+    # stated here: the single vertex and the edge, of maximum degree n - 1,
+    # and no tree on three or more vertices has maximum degree below 2
     if n <= 2 or dmax < 2:
-        yield from _pure.free_tree_layouts(n, dmax)
+        if n <= 2 and n - 1 <= dmax:
+            yield tuple(range(n))
         return
     layout = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))
     while layout is not None:
@@ -390,12 +450,13 @@ def _max_degree(layout):
 
 
 def test_pruned_tree_walk_matches_unpruned():
-    # with no cap and with every height cap, n <= 2 included
+    # with no cap and with every height cap, n <= 2, dmax < 2 and negative
+    # caps included: the walk has no special case for any of them
     for n in range(1, 17):
-        for dmax in sorted({1, 2, 3, 4, 5, n}):
+        for dmax in sorted({0, 1, 2, 3, 4, 5, n}):
             unpruned = list(_unpruned_tree_layouts(n, dmax))
             assert list(_pure.free_tree_layouts(n, dmax)) == unpruned, (n, dmax)
-            for h in range(n + 1):
+            for h in (-5, -1, *range(n + 1)):
                 capped = list(_pure.free_tree_layouts(n, dmax, h))
                 assert capped == [t for t in unpruned if max(t) <= h], (n, dmax, h)
 
@@ -432,38 +493,41 @@ def test_height_capped_walk_work_bound(monkeypatch):
 def test_tree_layouts_identical(sp):
     # at each height cap the compiled walk must give the pure walk's
     # layouts, which the test above shows are the uncapped ones filtered by
-    # height; n <= 2 and dmax < 2 included
+    # height; n <= 2, dmax < 2 and negative caps included
     for n in range(1, 19):
-        for dmax in sorted({1, 2, 3, 4, n}):
+        for dmax in sorted({0, 1, 2, 3, 4, n}):
             a = list(_pure.free_tree_layouts(n, dmax))
             b = list(sp.free_tree_layouts(n, dmax))
             assert a == b, (n, dmax)
             # every cap above the tallest layout keeps them all
             heights = [max(t) for t in a]
-            for h in range(max(heights, default=0) + 2):
+            for h in (-5, -1, *range(max(heights, default=0) + 2)):
                 expect = [t for t, th in zip(a, heights) if th <= h]
                 assert list(sp.free_tree_layouts(n, dmax, h)) == expect, (n, dmax, h)
 
 
 def test_compiled_guards_size(sp):
-    # the C kernel reads nothing past what it is given
-    for n in (0, 65):
-        for kernel in (sp.canon_perm, sp.canon_key):
-            with pytest.raises(ValueError):
-                kernel(n, [0] * n)
+    # the C kernel reads nothing past what it is given, and both kernels
+    # refuse the same inputs: a pure walk checks n on its first step
+    for module in (_pure, sp):
+        for n in (0, 65):
+            for kernel in (module.canon_perm, module.canon_key):
+                with pytest.raises(ValueError, match="support 1 <= n <= 64"):
+                    kernel(n, [0] * n)
+            with pytest.raises(ValueError, match="support 1 <= n <= 64"):
+                list(module.free_tree_layouts(n, 3))
+        for kernel in (module.canon_perm, module.canon_key):
+            with pytest.raises(IndexError):
+                kernel(4, [0] * 3)
+            with pytest.raises(IndexError):
+                kernel(4, [0] * 4, [0] * 3)
+            with pytest.raises(IndexError):
+                kernel(3, [0b1000, 0, 0])  # a neighbour outside the graph
         with pytest.raises(ValueError):
-            sp.free_tree_layouts(n, 3)
+            module.canon_key(3, [0] * 3, [0, 256, 0])
     for kernel in (sp.canon_perm, sp.canon_key):
-        with pytest.raises(IndexError):
-            kernel(4, [0] * 3)
-        with pytest.raises(IndexError):
-            kernel(4, [0] * 4, [0] * 3)
-        with pytest.raises(IndexError):
-            kernel(3, [0b1000, 0, 0])  # a neighbour outside the graph
         with pytest.raises(OverflowError):
             kernel(4, [0, 0, 0, 1 << 64])
-    with pytest.raises(ValueError):
-        sp.canon_key(3, [0] * 3, [0, 256, 0])
     # a walk abandoned half-way is freed (python -X dev reports a bad free)
     walk = sp.free_tree_layouts(12, 3, 4)
     assert next(walk) == next(iter(_pure.free_tree_layouts(12, 3, 4)))
