@@ -17,6 +17,8 @@ The hypercube Q6 and the Paley graph P(61) are vertex-transitive without
 twin cells: their searches store automorphisms at leaves with equal codes
 and prune by orbits, so these rows time the automorphism path.
 Each time is the mean over ``timeit``'s autorange, at least 0.2 s of calls.
+With the extension built, a closing spot-check compares the two backends'
+keys on every ``canon_key`` row and their layouts on every walk row.
 
 Run as:  python3 benchmarks/bench_kernels.py
 """
@@ -102,8 +104,9 @@ def main():
         print(f"{label:34s}{cells}")
 
     walkers = {name: mod.free_tree_layouts for name, mod in impls}
+    walks = [(14, 3, None), (16, 3, None), (18, 3, None), (20, 3, 4)]
     print(f"\n{'free trees':38s}" + "".join(f"{name:>22s}" for name in walkers))
-    for n, dmax, height in [(14, 3, None), (16, 3, None), (18, 3, None), (20, 3, 4)]:
+    for n, dmax, height in walks:
         cap = "" if height is None else f",max_height={height}"
         label = f"free_tree_layouts({n},{dmax}{cap})"
         times = []
@@ -116,6 +119,9 @@ def main():
         check = all(
             _pure.canon_key(*case) == _speedups.canon_key(*case)
             for case in cases.values()
+        ) and all(
+            list(_pure.free_tree_layouts(*w)) == list(_speedups.free_tree_layouts(*w))
+            for w in walks
         )
         print(f"\nagreement spot-check: {'ok' if check else 'MISMATCH'}")
 

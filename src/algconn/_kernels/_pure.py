@@ -9,9 +9,9 @@ tested against.
 
 Graphs are passed as ``(n, rows)`` where ``rows[i]`` is an integer bitmask of
 the neighbours of vertex ``i``.  The entry points take ``1 <= n <= 64`` and
-raise ``ValueError`` otherwise, with the compiled kernels' message (the
-tree walk, a generator, on its first step); a short ``rows`` or ``colors``
-or a neighbour ``>= n`` raises ``IndexError``.
+raise ``ValueError`` otherwise, at the call and with the compiled kernels'
+message; a short ``rows`` or ``colors`` or a neighbour ``>= n`` raises
+``IndexError``.
 """
 
 from __future__ import annotations
@@ -84,11 +84,13 @@ def _twins(adj, cell):
     return all(adj[v] | 1 << v == row for v in cell)
 
 
-def _close(orbit, frontier, gens):
-    """Grow ``orbit`` to its closure under ``gens``, starting from ``frontier``."""
+def _close(orbit, frontier, autos, prefix):
+    """Grow ``orbit`` from ``frontier`` under the ``autos`` fixing ``prefix``."""
     while frontier:
         u = frontier.pop()
-        for a in gens:
+        for a, fixed in autos:
+            if prefix & ~fixed:
+                continue
             w = a[u]
             if w not in orbit:
                 orbit.add(w)
@@ -117,13 +119,14 @@ def canon_perm(n, rows, colors=None):
     untied node sorts before the best, and so does every leaf below it: the
     first one reached becomes the new best, so the node truncates the best
     path at its depth and writes its own chunk there, and its first child
-    writes on.  The root is untied, as there is no best yet.  A leaf then
-    wins if it is untied, or tied with a smaller code; a tied leaf with an
-    equal code is the best leaf's image under an automorphism.  No tied node
-    lies below the best leaf, whose chunk is the discrete partition: the
-    node's parent, tied too, has the chunk the best path has at its depth,
-    which is not discrete, so the best path always reaches a tied node's
-    depth.
+    writes on.  So a node is tied once its first child returns: the new best
+    lies below an untied node, and a tied node stays tied.  The root is
+    untied, as there is no best yet.  A leaf then wins if it is untied, or
+    tied with a smaller code; a tied leaf with an equal code is the best
+    leaf's image under an automorphism.  No tied node lies below the best
+    leaf, whose chunk is the discrete partition: the node's parent, tied
+    too, has the chunk the best path has at its depth, which is not
+    discrete, so the best path always reaches a tied node's depth.
 
     Twin cells are pruned without a search (McKay & Piperno, "Practical
     graph isomorphism, II", 2014).  When the target cell's vertices are
@@ -159,7 +162,7 @@ def canon_perm(n, rows, colors=None):
         if tied:
             bc = best_chunks[depth]
             if chunk > bc:
-                return False
+                return
             tied = chunk == bc
         if not tied:
             # every leaf below sorts before the best: the first one reached
@@ -189,8 +192,7 @@ def canon_perm(n, rows, colors=None):
             code = tuple(code)
             if not tied or code < best_code:
                 best_code, best_order = code, order
-                return True
-            if code == best_code:
+            elif code == best_code:
                 a = [0] * n
                 fixed = 0
                 for v, w in zip(order, best_order):
@@ -198,7 +200,7 @@ def canon_perm(n, rows, colors=None):
                     if v == w:
                         fixed |= 1 << v
                 autos.append((tuple(a), fixed))
-            return False
+            return
         cell = cells[target]
         twin = _twins(adj, cell)
         if twin:
@@ -209,34 +211,26 @@ def canon_perm(n, rows, colors=None):
             swap[v], swap[w] = w, v
             autos.append((tuple(swap), ((1 << n) - 1) ^ (1 << v | 1 << w)))
         # orbit: the closure of the children tried so far under the stored
-        # automorphisms that fix the prefix pointwise
-        applicable = []
-        seen = 0
+        # automorphisms that fix the prefix pointwise; it grows from the last
+        # child alone unless automorphisms were stored since the last closure
+        seen = len(autos)
         orbit = set()
-        modified = False
         for i, v in enumerate(cell):
-            if orbit:
-                if len(autos) > seen:
-                    fresh = [a for a, fixed in autos[seen:] if not prefix & ~fixed]
-                    seen = len(autos)
-                    if fresh:
-                        applicable += fresh
-                        _close(orbit, list(orbit), applicable)
-                if v in orbit:
-                    continue
+            if v in orbit:
+                continue
             rest = cell[:i] + cell[i + 1 :]
             sub = cells[:target] + [(v,), rest] + cells[target + 1 :]
             # every cell is uniform against the cell and, once {v} is
             # applied, against v: so against rest, which cannot split
             if twin:
                 stable.add(rest)  # this node reads its set no more
-                return rec(sub, stable, depth + 1, tied, prefix | 1 << v)
-            if rec(sub, stable | {rest}, depth + 1, tied, prefix | 1 << v):
-                modified = True
-                tied = True  # new best shares this node's chunk prefix
+                rec(sub, stable, depth + 1, tied, prefix | 1 << v)
+                return
+            rec(sub, stable | {rest}, depth + 1, tied, prefix | 1 << v)
+            tied = True
             orbit.add(v)
-            _close(orbit, [v], applicable)
-        return modified
+            _close(orbit, list(orbit) if len(autos) > seen else [v], autos, prefix)
+            seen = len(autos)
 
     rec(cells, set(), 0, False, 0)
     return best_order
@@ -283,12 +277,10 @@ def canon_key(n, rows, colors=None):
 # max_height, depends on layout[:i+1] alone, so when it does, every later
 # rooted sequence with that prefix breaks a cap too; in reverse-lexicographic
 # order they are exactly the sequences before ``_next_rooted_tree(layout,
-# i)``, and the walk jumps there.  The jump lands on a sequence the unpruned
-# walk may never visit, and ``_next_free_tree``'s own skip is only valid from
-# sequences that walk visits (it returns its skip target unchecked), so after
-# a jump the walk steps until a free-canonical sequence is reached.  The
-# yielded layouts and their order are those of the unpruned walk filtered by
-# maximum degree and height.
+# i)``, and the walk jumps there.  After each step, a rooted successor or a
+# jump, the walk skips ahead until a free-canonical sequence is reached,
+# testing each candidate once.  The yielded layouts and their order are
+# those of the unpruned walk filtered by maximum degree and height.
 #
 # Every layout is rooted at a centre of its tree, so a layout of height h
 # has diameter 2h - 1 or 2h; the height cap is a diameter cap, which the
@@ -296,9 +288,10 @@ def canon_key(n, rows, colors=None):
 # ---------------------------------------------------------------------------
 
 
-def _next_rooted_tree(layout, p=None):
-    """Successor of a rooted-tree level sequence, or None at the last one."""
-    if p is None:
+def _next_rooted_tree(layout, p=-1):
+    """Successor of a rooted-tree level sequence from position p (p < 0: the
+    last vertex not at depth 1), or None at the last one."""
+    if p < 0:
         p = len(layout) - 1
         while layout[p] == 1:
             p -= 1
@@ -315,49 +308,24 @@ def _next_rooted_tree(layout, p=None):
 
 def _split_layout(layout):
     """Split at the second depth-1 vertex: (first subtree, rest of tree)."""
-    one_found = False
-    m = None
-    for i, lev in enumerate(layout):
-        if lev == 1:
-            if one_found:
-                m = i
-                break
-            one_found = True
-    if m is None:
-        m = len(layout)
-    left = [layout[i] - 1 for i in range(1, m)]
-    rest = [0] + [layout[i] for i in range(m, len(layout))]
-    return left, rest
+    # the first depth-1 vertex is vertex 1
+    m = next((i for i in range(2, len(layout)) if layout[i] == 1), len(layout))
+    return [lev - 1 for lev in layout[1:m]], [0, *layout[m:]]
 
 
 def _is_free_canonical(layout):
     left, rest = _split_layout(layout)
-    left_height = max(left) if left else 0  # n = 1 has no first subtree
-    rest_height = max(rest)
-    if rest_height < left_height:
-        return False
-    if rest_height == left_height:
-        if len(left) > len(rest):
-            return False
-        if len(left) == len(rest) and left > rest:
-            return False
-    return True
+    # n = 1 has no first subtree
+    return (max(left) if left else 0, len(left), left) <= (max(rest), len(rest), rest)
 
 
 def _next_free_tree(candidate):
-    """Candidate itself if canonical as a free tree, else the next one."""
-    if _is_free_canonical(candidate):
-        return candidate
-    left, rest = _split_layout(candidate)
-    p = len(left)
+    """The next candidate after one that is not free-canonical, or None."""
+    p = len(_split_layout(candidate)[0])
     new_candidate = _next_rooted_tree(candidate, p)
-    if new_candidate is None:
-        return None
-    if candidate[p] > 2:
-        new_left, _ = _split_layout(new_candidate)
-        new_left_height = max(new_left)
-        suffix = list(range(1, new_left_height + 2))
-        new_candidate[-len(suffix) :] = suffix
+    if new_candidate is not None and candidate[p] > 2:
+        h = max(_split_layout(new_candidate)[0])
+        new_candidate[-h - 1 :] = range(1, h + 2)
     return new_candidate
 
 
@@ -384,34 +352,36 @@ def _first_over_cap(layout, dmax, max_height):
 
 
 def free_tree_layouts(n, dmax, max_height=None):
-    """Yield level sequences of all free trees on n vertices, max degree <= dmax.
+    """Level sequences of all free trees on n vertices, max degree <= dmax.
 
     Exactly one representative per isomorphism class, in the successor
     order of the underlying enumeration.  With ``max_height``, only the
-    layouts whose deepest level is at most that are yielded.  The walk
-    needs no special case: n <= 2 and dmax < 2 fall out of the caps.
+    layouts whose deepest level is at most that are yielded.  The arguments
+    are checked at the call, and the walk runs as the iterator is consumed.
+    The walk needs no special case: n <= 2 and dmax < 2 fall out of the caps.
     """
     if not 1 <= n <= 64:
         raise ValueError("the kernels support 1 <= n <= 64")
     if max_height is None:
         max_height = n
     if max_height < 0:
-        return  # the caps never test the root
-    layout = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))
+        return iter(())  # the caps never test the root
+    # the path rooted at its centre, the first free-canonical sequence
+    path = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))
+    return _walk(path, dmax, max_height)
+
+
+def _walk(layout, dmax, max_height):
     while layout is not None:
-        layout = _next_free_tree(layout)
-        if layout is None:
-            return
         i = _first_over_cap(layout, dmax, max_height)
         if i < 0:
             yield tuple(layout)
-            layout = _next_rooted_tree(layout)
-            continue
-        # skip every sequence with the prefix layout[:i+1]; a root child
-        # cannot be decremented, and the later sequences that share the
-        # prefix up to the last deeper vertex also share it up to i
-        while layout[i] == 1:
-            i -= 1
+        else:
+            # skip every sequence with the prefix layout[:i+1]; a root child
+            # cannot be decremented, and the later sequences that share the
+            # prefix up to the last deeper vertex also share it up to i
+            while layout[i] == 1:
+                i -= 1
         layout = _next_rooted_tree(layout, i)
         while layout is not None and not _is_free_canonical(layout):
             layout = _next_free_tree(layout)

@@ -173,9 +173,9 @@ static u64 close_orbit(const CanonCtx *S, u64 orbit, u64 frontier, u64 prefix)
 
 /* A leaf: every cell is a singleton, and the cells in order are the
  * candidate order.  An untied leaf sorts before the best, and rec has
- * written its chunk path already; a tied leaf has the best's chunk path, so
- * its code decides, and an equal code makes it an image of the best leaf.
- * Returns 1 if it is the new best, -1 when out of memory. */
+ * written its chunk path already, so it is the new best; a tied leaf has
+ * the best's chunk path, so its code decides, and an equal code makes it an
+ * image of the best leaf.  Returns 0, or -1 when out of memory. */
 static int leaf(CanonCtx *S, const u64 *cell, int tied)
 {
     int n = S->n;
@@ -198,7 +198,7 @@ static int leaf(CanonCtx *S, const u64 *cell, int tied)
     if (!tied || (k < n && code[k] < S->best_code[k])) {
         memcpy(S->best_code, code, n * sizeof(u64));
         memcpy(S->best_order, order, n);
-        return 1;
+        return 0;
     }
     if (k < n)
         return 0;
@@ -217,14 +217,16 @@ static int leaf(CanonCtx *S, const u64 *cell, int tied)
 /* One node of the individualization-refinement tree; see ``_pure.canon_perm``.
  * The node's partition is cell[0..ncells-1] with stable flags st, refined
  * here in place: the caller builds them for this node alone.  prefix is the
- * bitmask of the vertices individualized on the way here.  Returns 1 if the
- * best leaf changed below this node, 0 if not, -1 when out of memory.
+ * bitmask of the vertices individualized on the way here.  Returns 0, or -1
+ * when out of memory.
  *
  * The best chunk path is written as the search descends.  A tied node has
  * the best's chunks at every depth so far and only compares.  An untied
  * node sorts before the best, and so does every leaf below it; the first
  * such leaf becomes the new best, so the node writes its chunk at its depth,
- * and the path below follows.  The root is untied, as there is no best yet.
+ * and the path below follows.  So a node is tied once its first child
+ * returns: the new best lies below an untied node, and a tied node stays
+ * tied.  The root is untied, as there is no best yet.
  * A tied node is never below the best leaf: its parent, tied too, has the
  * chunk the best path has at that depth, which is not discrete, so the best
  * path goes deeper, and best_chunks[depth] is always there to compare.
@@ -278,7 +280,7 @@ static int rec(CanonCtx *S, u64 *cell, u8 *st, int ncells, int depth, int tied, 
      * child alone unless automorphisms were stored since the last closure */
     u64 cell2[MAXN];
     u8 st2[MAXN];
-    int seen = S->nautos, modified = 0, after = ncells - target - 1;
+    int seen = S->nautos, after = ncells - target - 1;
     u64 orbit = 0;
     for (u64 left = cell[target]; left; left &= left - 1) {
         int v = __builtin_ctzll(left);
@@ -298,15 +300,12 @@ static int rec(CanonCtx *S, u64 *cell, u8 *st, int ncells, int depth, int tied, 
         int r = rec(S, cell2, st2, ncells + 1, depth + 1, tied, prefix | BIT(v));
         if (r < 0 || twin)
             return r; /* a twin node's later children are images of this one */
-        if (r) {
-            modified = 1;
-            tied = 1; /* the new best shares this node's chunk prefix */
-        }
+        tied = 1;
         orbit |= BIT(v);
         orbit = close_orbit(S, orbit, S->nautos > seen ? orbit : BIT(v), prefix);
         seen = S->nautos;
     }
-    return modified;
+    return 0;
 }
 
 /* Reads n, rows and colors into S and runs the search from the partition
@@ -456,14 +455,10 @@ static int next_rooted_tree(int *lay, int n, int p)
  * first subtree and of the rest of the tree. */
 static void split_layout(const int *lay, int n, int *m, int *left_height, int *rest_height)
 {
-    int ones = 0;
-    *m = n;
-    for (int i = 0; i < n; i++) {
-        if (lay[i] == 1 && ones++) {
-            *m = i;
-            break;
-        }
-    }
+    int s = 2; /* the first depth-1 vertex is vertex 1 */
+    while (s < n && lay[s] != 1)
+        s++;
+    *m = s < n ? s : n;
     *left_height = *rest_height = 0;
     for (int i = 1; i < *m; i++)
         if (lay[i] - 1 > *left_height)
@@ -491,12 +486,10 @@ static int is_free_canonical(const int *lay, int n)
     return 1;
 }
 
-/* The layout itself if canonical as a free tree, else the next candidate;
- * 0 when there is none. */
+/* The next candidate after one that is not free-canonical, in place; 0
+ * when there is none.  The candidate it reaches may not be free-canonical. */
 static int next_free_tree(int *lay, int n)
 {
-    if (is_free_canonical(lay, n))
-        return 1;
     int m, lh, rh;
     split_layout(lay, n, &m, &lh, &rh);
     int p = m - 1, old = lay[p];
@@ -540,31 +533,27 @@ static PyObject *tree_walk_next(TreeWalk *w)
 {
     int n = w->n, *lay = w->lay;
     while (!w->done) {
-        if (!next_free_tree(lay, n))
-            break;
+        PyObject *out = NULL;
         int i = first_over_cap(lay, n, w->dmax, w->max_height);
         if (i < 0) {
-            PyObject *out = PyTuple_New(n);
-            if (!out)
+            if (!(out = PyTuple_New(n)))
                 return NULL;
             for (int k = 0; k < n; k++)
                 PyTuple_SET_ITEM(out, k, PyLong_FromLong(lay[k]));
-            w->done = !next_rooted_tree(lay, n, -1);
-            return out;
+        } else {
+            /* skip every sequence with the prefix lay[..i]; a root child
+             * cannot be decremented, and the later sequences that share the
+             * prefix up to the last deeper vertex also share it up to i */
+            while (lay[i] == 1)
+                i--;
         }
-        /* skip every sequence with the prefix lay[..i]; a root child cannot
-         * be decremented, and the later sequences that share the prefix up
-         * to the last deeper vertex also share it up to i */
-        while (lay[i] == 1)
-            i--;
-        if (!next_rooted_tree(lay, n, i))
-            break;
-        while (!is_free_canonical(lay, n))
-            if (!next_free_tree(lay, n))
-                goto exhausted;
+        int more = next_rooted_tree(lay, n, i);
+        while (more && !is_free_canonical(lay, n))
+            more = next_free_tree(lay, n);
+        w->done = !more;
+        if (out)
+            return out;
     }
-exhausted:
-    w->done = 1;
     return NULL;
 }
 
@@ -611,6 +600,7 @@ static PyObject *free_tree_layouts(PyObject *self, PyObject *args, PyObject *kwa
     w->dmax = dmax;
     w->max_height = (int)max_height;
     w->done = max_height < 0; /* the caps never test the root */
+    /* the path rooted at its centre, the first free-canonical sequence */
     for (int i = 0; i <= n / 2; i++)
         w->lay[i] = i;
     for (int i = 1; i < (n + 1) / 2; i++)

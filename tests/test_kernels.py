@@ -430,12 +430,54 @@ def _unpruned_tree_layouts(n, dmax):
         return
     layout = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))
     while layout is not None:
-        layout = _pure._next_free_tree(layout)
+        layout = _check_or_skip(layout)
         if layout is None:
             return
         if _max_degree(layout) <= dmax:
             yield tuple(layout)
         layout = _pure._next_rooted_tree(layout)
+
+
+# The unpruned walk's own free-canonical rule and check-or-skip successor,
+# written out apart from the kernel's helpers, so that a change to those
+# cannot move the reference too.
+
+
+def _split(layout):
+    # (first subtree, rest of tree), split at the second depth-1 vertex
+    ones = [i for i, lev in enumerate(layout) if lev == 1]
+    m = ones[1] if len(ones) > 1 else len(layout)
+    return [lev - 1 for lev in layout[1:m]], [0, *layout[m:]]
+
+
+def _free_canonical(layout):
+    left, rest = _split(layout)
+    left_height = max(left) if left else 0  # n = 1 has no first subtree
+    rest_height = max(rest)
+    if rest_height < left_height:
+        return False
+    if rest_height == left_height:
+        if len(left) > len(rest):
+            return False
+        if len(left) == len(rest) and left > rest:
+            return False
+    return True
+
+
+def _check_or_skip(candidate):
+    # the candidate itself if free-canonical, else the successor scheme's
+    # skip target, unchecked: from the sequences this walk visits, the
+    # target is free-canonical
+    if _free_canonical(candidate):
+        return candidate
+    p = len(_split(candidate)[0])
+    new_candidate = _pure._next_rooted_tree(candidate, p)
+    if new_candidate is None:
+        return None
+    if candidate[p] > 2:
+        suffix = list(range(1, max(_split(new_candidate)[0]) + 2))
+        new_candidate[-len(suffix) :] = suffix
+    return new_candidate
 
 
 def _max_degree(layout):
@@ -462,23 +504,32 @@ def test_pruned_tree_walk_matches_unpruned():
 
 
 def _count_steps(monkeypatch):
-    calls = [0]
-    step = _pure._next_free_tree
+    # rooted steps (successors, jumps and skips) and free-canonical tests
+    calls = {"steps": 0, "tests": 0}
+    step, test = _pure._next_rooted_tree, _pure._is_free_canonical
 
-    def counted(layout):
-        calls[0] += 1
-        return step(layout)
+    def counted_step(*args):
+        calls["steps"] += 1
+        return step(*args)
 
-    monkeypatch.setattr(_pure, "_next_free_tree", counted)
+    def counted_test(*args):
+        calls["tests"] += 1
+        return test(*args)
+
+    monkeypatch.setattr(_pure, "_next_rooted_tree", counted_step)
+    monkeypatch.setattr(_pure, "_is_free_canonical", counted_test)
     return calls
 
 
 def test_pruned_tree_walk_work_bound(monkeypatch):
-    # the unpruned walk visits 19,320 free trees at n = 16 to keep 2,410
+    # the unpruned walk visits 19,320 free trees at n = 16 to keep 2,410;
+    # the walk reaches them in about 5,500 steps, and tests each candidate
+    # a step reaches for free-canonicity at most once
     calls = _count_steps(monkeypatch)
     trees = sum(1 for _ in _pure.free_tree_layouts(16, 3))
     assert trees == 2410
-    assert calls[0] <= 3 * trees
+    assert calls["steps"] <= 3 * trees
+    assert calls["tests"] <= calls["steps"]
 
 
 def test_height_capped_walk_work_bound(monkeypatch):
@@ -487,7 +538,8 @@ def test_height_capped_walk_work_bound(monkeypatch):
     calls = _count_steps(monkeypatch)
     trees = sum(1 for _ in _pure.free_tree_layouts(20, 3, 4))
     assert trees == 2056
-    assert calls[0] <= 6 * trees
+    assert calls["steps"] <= 6 * trees
+    assert calls["tests"] <= calls["steps"]
 
 
 def test_tree_layouts_identical(sp):
@@ -508,14 +560,14 @@ def test_tree_layouts_identical(sp):
 
 def test_compiled_guards_size(sp):
     # the C kernel reads nothing past what it is given, and both kernels
-    # refuse the same inputs: a pure walk checks n on its first step
+    # refuse the same inputs, each walk at the call
     for module in (_pure, sp):
         for n in (0, 65):
             for kernel in (module.canon_perm, module.canon_key):
                 with pytest.raises(ValueError, match="support 1 <= n <= 64"):
                     kernel(n, [0] * n)
             with pytest.raises(ValueError, match="support 1 <= n <= 64"):
-                list(module.free_tree_layouts(n, 3))
+                module.free_tree_layouts(n, 3)
         for kernel in (module.canon_perm, module.canon_key):
             with pytest.raises(IndexError):
                 kernel(4, [0] * 3)
