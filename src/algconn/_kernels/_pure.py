@@ -222,11 +222,9 @@ def canon_perm(n, rows, colors=None):
             sub = cells[:target] + [(v,), rest] + cells[target + 1 :]
             # every cell is uniform against the cell and, once {v} is
             # applied, against v: so against rest, which cannot split
-            if twin:
-                stable.add(rest)  # this node reads its set no more
-                rec(sub, stable, depth + 1, tied, prefix | 1 << v)
-                return
             rec(sub, stable | {rest}, depth + 1, tied, prefix | 1 << v)
+            if twin or i == len(cell) - 1:
+                return  # later children: none, or images of this one
             tied = True
             orbit.add(v)
             _close(orbit, list(orbit) if len(autos) > seen else [v], autos, prefix)
@@ -315,8 +313,7 @@ def _split_layout(layout):
 
 def _is_free_canonical(layout):
     left, rest = _split_layout(layout)
-    # n = 1 has no first subtree
-    return (max(left) if left else 0, len(left), left) <= (max(rest), len(rest), rest)
+    return (max(left), len(left), left) <= (max(rest), len(rest), rest)
 
 
 def _next_free_tree(candidate):

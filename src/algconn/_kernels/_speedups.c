@@ -298,8 +298,8 @@ static int rec(CanonCtx *S, u64 *cell, u8 *st, int ncells, int depth, int tied, 
         st2[target + 1] = st[target];
         memcpy(st2 + target + 2, st + target + 1, after);
         int r = rec(S, cell2, st2, ncells + 1, depth + 1, tied, prefix | BIT(v));
-        if (r < 0 || twin)
-            return r; /* a twin node's later children are images of this one */
+        if (r < 0 || twin || !(left & (left - 1)))
+            return r; /* later children: none, or images of this one */
         tied = 1;
         orbit |= BIT(v);
         orbit = close_orbit(S, orbit, S->nautos > seen ? orbit : BIT(v), prefix);
@@ -458,7 +458,7 @@ static void split_layout(const int *lay, int n, int *m, int *left_height, int *r
     int s = 2; /* the first depth-1 vertex is vertex 1 */
     while (s < n && lay[s] != 1)
         s++;
-    *m = s < n ? s : n;
+    *m = s;
     *left_height = *rest_height = 0;
     for (int i = 1; i < *m; i++)
         if (lay[i] - 1 > *left_height)

@@ -121,9 +121,9 @@ def _tree_family_nonempty(n: int, d_max: int) -> bool:
 
 def enumerate_trees(n: int, d_max: int) -> Iterator[Graph]:
     """All unlabeled trees on n vertices with maximum degree <= d_max."""
-    if _tree_family_nonempty(n, d_max):
-        for layout in _kernels.free_tree_layouts(n, d_max):
-            yield _layout_to_graph(layout)
+    if not _tree_family_nonempty(n, d_max):
+        return iter(())
+    return map(_layout_to_graph, _kernels.free_tree_layouts(n, d_max))
 
 
 def count_trees(n: int, d_max: int) -> int:
@@ -171,85 +171,77 @@ def _state_viable(n: int, rows, caps) -> bool:
     # components must either be open or be the whole graph, and there must
     # be enough capacity left to merge them all
     comps = _components(rows, (1 << n) - 1)
-    if len(comps) > 1:
-        total_open = 0
-        for comp in comps:
-            comp_cap = sum(caps[v] for v in range(n) if (comp >> v) & 1)
-            if comp_cap == 0:
-                return False
-            total_open += comp_cap
-        if total_open < 2 * (len(comps) - 1):
-            return False
-    return True
+    return len(comps) == 1 or (
+        all(comp & open_mask for comp in comps) and sum(caps) >= 2 * (len(comps) - 1)
+    )
 
 
-def _enumerate_by_degrees(n: int, degrees: tuple[int, ...]) -> list[bytes]:
-    """canon_keys of the connected graphs with this degree sequence.
+def _enumerate_by_degrees(
+    n: int, sequences: Iterable[tuple[int, ...]]
+) -> Iterator[Graph]:
+    """The connected graphs of these degree sequences, canonically labeled
+    and sorted by canonical rows.
 
     Partial states carry a per-vertex remaining-degree count; expanding a
     state closes its first open vertex against every viable set of partners.
     A state is its canon_key with the capacity counts as colours: the key's
     colour bytes are the canonical capacities and its tail the canonical
     rows, so isomorphic partials collapse and each final graph appears
-    exactly once.  Finals have all-zero colours, and with all colours equal
-    the canonical labeling is that of the uncoloured graph, so the keys of
-    different degree sequences sort together by canonical rows.
+    exactly once.  The colours come in ascending order, so the open vertices
+    come last: the first one follows the closed ones, and its partners are
+    the vertices after it.  Finals have all-zero colours, and with all
+    colours equal the canonical labeling is that of the uncoloured graph,
+    so the keys of different degree sequences sort together by canonical
+    rows.  Each sequence has its own ``seen`` set.
     """
-    start = _kernels.canon_key(n, (0,) * n, degrees)
-    seen = {start}
-    stack = [start]
     finals = []
-    while stack:
-        key = stack.pop()
-        rows, caps = _decode_key(key)
-        u = next((v for v in range(n) if caps[v]), -1)
-        if u < 0:
-            # connected: a final is a child, and _state_viable lets no
-            # closed component through unless it is the whole graph
-            finals.append(key)
-            continue
-        open_others = [
-            v
-            for v in range(n)
-            if v != u and caps[v] and not (rows[u] >> v) & 1
-        ]
-        for partners in itertools.combinations(open_others, caps[u]):
-            new_rows = list(rows)
-            new_caps = list(caps)
-            for p in partners:
-                new_rows[u] |= 1 << p
-                new_rows[p] |= 1 << u
-                new_caps[p] -= 1
-            new_caps[u] = 0
-            if not _state_viable(n, new_rows, new_caps):
+    for degrees in sequences:
+        start = _kernels.canon_key(n, (0,) * n, degrees)
+        seen = {start}
+        stack = [start]
+        while stack:
+            key = stack.pop()
+            rows, caps = _decode_key(key)
+            u = caps.count(0)
+            if u == n:
+                # connected: a final is a child, and _state_viable lets no
+                # closed component through unless it is the whole graph
+                finals.append(key)
                 continue
-            child = _kernels.canon_key(n, new_rows, new_caps)
-            if child not in seen:
-                seen.add(child)
-                stack.append(child)
-    return finals
+            open_others = [v for v in range(u + 1, n) if not (rows[u] >> v) & 1]
+            for partners in itertools.combinations(open_others, caps[u]):
+                new_rows = list(rows)
+                new_caps = list(caps)
+                for p in partners:
+                    new_rows[u] |= 1 << p
+                    new_rows[p] |= 1 << u
+                    new_caps[p] -= 1
+                new_caps[u] = 0
+                if not _state_viable(n, new_rows, new_caps):
+                    continue
+                child = _kernels.canon_key(n, new_rows, new_caps)
+                if child not in seen:
+                    seen.add(child)
+                    stack.append(child)
+    for key in sorted(finals):
+        yield Graph(n, _decode_key(key)[0])
 
 
 def enumerate_cubic(n: int) -> Iterator[Graph]:
-    """All connected 3-regular graphs on n vertices, canonically ordered.
-
-    The graphs of degree sequence (3,)*n from ``_enumerate_by_degrees``,
-    each canonically labeled, sorted by canonical rows.
-    """
+    """All connected 3-regular graphs on n vertices, canonically ordered:
+    the degree sequence (3,)*n through ``_enumerate_by_degrees``."""
     if n % 2 or not 4 <= n <= CUBIC_MAX_N:
         raise ValueError(f"cubic enumeration supports even 4 <= n <= {CUBIC_MAX_N}")
-    for key in sorted(_enumerate_by_degrees(n, (3,) * n)):
-        yield Graph(n, _decode_key(key)[0])
+    return _enumerate_by_degrees(n, [(3,) * n])
 
 
 def enumerate_graphs(n: int, m: int, min_degree: int = 0) -> Iterator[Graph]:
     """All connected graphs with n vertices, m edges, degrees >= min_degree.
 
-    The union, over every non-increasing degree sequence with sum 2m and
-    entries in [max(min_degree, 1), n - 1], of the graphs with that degree
-    sequence from ``_enumerate_by_degrees``.  Different sequences give
-    non-isomorphic graphs.  Each graph comes canonically labeled, and the
-    union is sorted by canonical rows across all sequences.
+    Every non-increasing degree sequence with sum 2m and entries in
+    [max(min_degree, 1), n - 1] goes through ``_enumerate_by_degrees``.
+    Different sequences give non-isomorphic graphs, so each graph comes
+    once, canonically labeled, and the union is sorted by canonical rows.
     """
     if not 1 <= n <= GRAPH_MAX_N:
         raise ValueError(f"graph enumeration supports 1 <= n <= {GRAPH_MAX_N}")
@@ -258,15 +250,10 @@ def enumerate_graphs(n: int, m: int, min_degree: int = 0) -> Iterator[Graph]:
     if min_degree < 0 or (min_degree > 0 and m * 2 < n * min_degree):
         raise ValueError("degree floor infeasible for this edge count")
     if n == 1:
-        yield Graph(1, (0,))
-        return
-    finals = []
+        return iter((Graph(1, (0,)),))
     entries = range(n - 1, max(min_degree, 1) - 1, -1)
-    for degrees in itertools.combinations_with_replacement(entries, n):
-        if sum(degrees) == 2 * m:
-            finals += _enumerate_by_degrees(n, degrees)
-    for key in sorted(finals):
-        yield Graph(n, _decode_key(key)[0])
+    sequences = itertools.combinations_with_replacement(entries, n)
+    return _enumerate_by_degrees(n, (s for s in sequences if sum(s) == 2 * m))
 
 
 # ---------------------------------------------------------------------------

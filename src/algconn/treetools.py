@@ -1,10 +1,11 @@
-"""Tree splitting: the heavy-branch walk, balance tests, split-based bounds.
+"""Tree splitting: the centroid split, balance tests, split-based bounds.
 
 Removing a well-chosen vertex from a bounded-degree tree leaves at least two
 big components; hanging a layered test vector on each big component bounds
 its modified eigenvalue, and the larger of the two quotients bounds the
 connectivity of the whole tree.  That composition is what turns the local
-branch estimates into the global tree bound.
+branch estimates into the global tree bound.  The vertex is the tree's
+centroid, and one rooted pass gives the components of every vertex removal.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bounds import lamtilde_test_vector
-from .graphs import Graph, _bits, _components, _reach, is_tree, max_degree
+from .graphs import Graph, _bits, is_tree, max_degree
 from .spectral import modified_rayleigh_quotient
 
 
@@ -25,53 +26,46 @@ class SplitResult:
     component_sizes: tuple[int, ...]
 
 
-def _heaviest_neighbor(g: Graph, v: int) -> int:
-    # neighbor whose side of the edge (v, u) is largest; ties to lowest index
-    best_u = -1
-    best_size = -1
-    for u in g.neighbors(v):
-        size = _reach(g.rows, 1 << u, ~(1 << v)).bit_count()
-        if size > best_size:
-            best_size = size
-            best_u = u
-    return best_u
+def _branches(t: Graph) -> list[list[tuple[int, int]]]:
+    # for every vertex v, the (mask, attachment vertex) of each component of
+    # t - v, from one breadth-first pass rooted at vertex 0: each child's
+    # subtree, then, below the root, the rest of the tree through the parent
+    parent = [-1] * t.n
+    order = [0]
+    for v in order:
+        for u in _bits(t.rows[v]):
+            if u != parent[v]:
+                parent[u] = v
+                order.append(u)
+    sub = [1 << v for v in range(t.n)]
+    for v in reversed(order[1:]):
+        sub[parent[v]] |= sub[v]
+    branches = [
+        [(sub[u], u) for u in _bits(t.rows[v]) if u != parent[v]] for v in range(t.n)
+    ]
+    for v in order[1:]:
+        branches[v].append((((1 << t.n) - 1) ^ sub[v], parent[v]))
+    return branches
 
 
 def find_splitting_vertex(t: Graph) -> SplitResult:
-    """Walk to the tree's balance point and report the split there.
+    """The tree's centroid and the component sizes its removal leaves.
 
-    From vertex 0, repeatedly step to the neighbor with the heaviest side
-    (lowest index on ties).  The walk settles into a two-cycle across one
-    edge {v, w}; the returned vertex is the endpoint whose side of that edge
-    holds at least half the tree (the smaller index when both sides are
-    exactly half).  For max degree d, at least two of the components left by
-    removing it have size >= (n-2) / (2(d-1)).
+    The centroid is the vertex whose largest component is smallest (C.
+    Jordan, J. Reine Angew. Math. 70, 1869); its components hold at most
+    n/2 vertices each.  A tree with two centroids splits into two halves
+    across the edge joining them, and the smaller index is returned.  For
+    max degree d, at least two of the components have size
+    >= (n-2) / (2(d-1)).
     """
     if not is_tree(t):
         raise ValueError("splitting vertex is defined for trees")
     if t.n < 3:
         raise ValueError("need n >= 3")
-    prev = -1
-    v = 0
-    for _ in range(2 * t.n + 2):
-        nxt = _heaviest_neighbor(t, v)
-        if nxt == prev:
-            break
-        prev, v = v, nxt
-    else:
-        raise RuntimeError("walk failed to settle")  # pragma: no cover
-    a, b = v, nxt  # the two-cycle edge
-    side_b = _reach(t.rows, 1 << b, ~(1 << a)).bit_count()
-    side_a = t.n - side_b
-    if side_a > side_b:
-        chosen = a
-    elif side_b > side_a:
-        chosen = b
-    else:
-        chosen = min(a, b)
-    rest = ((1 << t.n) - 1) ^ (1 << chosen)
-    sizes = sorted((m.bit_count() for m in _components(t.rows, rest)), reverse=True)
-    return SplitResult(vertex=chosen, component_sizes=tuple(sizes))
+    branches = _branches(t)
+    v = min(range(t.n), key=lambda v: max(m.bit_count() for m, _ in branches[v]))
+    sizes = sorted((m.bit_count() for m, _ in branches[v]), reverse=True)
+    return SplitResult(vertex=v, component_sizes=tuple(sizes))
 
 
 def split_component_floor(n: int, d: int) -> Fraction:
@@ -82,39 +76,32 @@ def split_component_floor(n: int, d: int) -> Fraction:
 
 
 def split_spectral_bound(t: Graph) -> float:
-    """Upper bound on the tree's connectivity via the split at the walk vertex.
+    """Upper bound on the tree's connectivity via the split at the centroid.
 
     The two largest components hanging off the splitting vertex each get a
     layered test vector rooted at their attachment point; the larger of the
     two modified quotients dominates the tree's connectivity.  Sound for
     every tree on >= 3 vertices, with no depth precondition.
     """
-    split = find_splitting_vertex(t)
-    v = split.vertex
-    comps = _components(t.rows, ((1 << t.n) - 1) ^ (1 << v))
-    comps.sort(key=lambda m: (-m.bit_count(), m & -m))
+    v = find_splitting_vertex(t).vertex  # raises first on a non-tree
+    comps = _branches(t)[v]
+    comps.sort(key=lambda c: (-c[0].bit_count(), c[0] & -c[0]))
     d = max(3, max_degree(t))
     quotients = []
-    for mask in comps[:2]:
-        sub, root = _induced_rooted(t, mask, v)
-        x = lamtilde_test_vector(sub, root, d)
-        quotients.append(modified_rayleigh_quotient(sub, root, x))
+    for mask, root in comps[:2]:
+        # the component induced on its vertices, renumbered in order
+        verts = list(_bits(mask))
+        index = {v: i for i, v in enumerate(verts)}
+        rows = []
+        for v in verts:
+            row = 0
+            for w in _bits(t.rows[v] & mask):
+                row |= 1 << index[w]
+            rows.append(row)
+        sub = Graph(len(verts), rows)
+        x = lamtilde_test_vector(sub, index[root], d)
+        quotients.append(modified_rayleigh_quotient(sub, index[root], x))
     return max(quotients)
-
-
-def _induced_rooted(g: Graph, mask: int, cut: int) -> tuple[Graph, int]:
-    # induced subgraph on mask, rooted at the unique neighbor of `cut` inside
-    verts = list(_bits(mask))
-    index = {v: i for i, v in enumerate(verts)}
-    rows = []
-    for v in verts:
-        new = 0
-        for w in _bits(g.rows[v] & mask):
-            new |= 1 << index[w]
-        rows.append(new)
-    attach = g.rows[cut] & mask
-    root_old = (attach & -attach).bit_length() - 1
-    return Graph(len(verts), rows), index[root_old]
 
 
 def is_well_balanced(t: Graph) -> bool:
@@ -129,11 +116,7 @@ def is_well_balanced(t: Graph) -> bool:
     if d < 3:
         raise ValueError("balance test needs max degree >= 3")
     threshold = Fraction(t.n - 1, d)
-    for v in range(t.n):
-        big = 0
-        for mask in _components(t.rows, ((1 << t.n) - 1) ^ (1 << v)):
-            if mask.bit_count() >= threshold:
-                big += 1
-                if big >= 2:
-                    return True
-    return False
+    return any(
+        sum(m.bit_count() >= threshold for m, _ in comps) >= 2
+        for comps in _branches(t)
+    )

@@ -385,6 +385,19 @@ def test_golden_vertex_transitive_orders(kernel, request):
     assert digest == TRANSITIVE_ORDERS_SHA256
 
 
+def _count_refines(monkeypatch):
+    # calls of the pure refinement, one per node of the search
+    calls = {"refines": 0}
+    refine = _pure._refine
+
+    def counting(adj, cells, stable):
+        calls["refines"] += 1
+        return refine(adj, cells, stable)
+
+    monkeypatch.setattr(_pure, "_refine", counting)
+    return calls
+
+
 def test_twin_cells_bound_the_search(monkeypatch):
     # the empty graph and the star are one twin cell each after the first
     # refinement, so the search is one path of at most n nodes; without the
@@ -393,22 +406,30 @@ def test_twin_cells_bound_the_search(monkeypatch):
     # vertex is individualized: the root tries vertices 0, 1 and 20, and the
     # transpositions stored below the first two put the rest in their orbits
     # (115 calls; 799 without the transpositions, 6,347 without the rule)
-    calls = 0
-    refine = _pure._refine
-
-    def counting(adj, cells, stable):
-        nonlocal calls
-        calls += 1
-        return refine(adj, cells, stable)
-
-    monkeypatch.setattr(_pure, "_refine", counting)
+    calls = _count_refines(monkeypatch)
     for rows in ([0] * 40, _star(40)):
-        calls = 0
+        calls["refines"] = 0
         _pure.canon_perm(40, rows)
-        assert calls <= 40
-    calls = 0
+        assert calls["refines"] <= 40
+    calls["refines"] = 0
     _pure.canon_perm(40, [(1 << 40) - (1 << 20)] * 20 + [(1 << 20) - 1] * 20)
-    assert calls <= 3 * 40
+    assert calls["refines"] <= 3 * 40
+
+
+def test_orbit_closure_bounds_the_search(monkeypatch):
+    # a child is skipped when the automorphisms stored so far put it in the
+    # orbit of an earlier child; the orbit must be closed under all of them,
+    # as closing it from the latest child alone misses images of earlier
+    # children (733 and 3,023 calls then)
+    calls = _count_refines(monkeypatch)
+    for graphs, bound in (
+        (_vertex_transitive_graphs(), 731),
+        (_twin_heavy_graphs(), 2995),
+    ):
+        calls["refines"] = 0
+        for graph in graphs:
+            _pure.canon_perm(*graph)
+        assert calls["refines"] <= bound
 
 
 def test_key_byte_layout(sp):

@@ -8,6 +8,7 @@ import random
 import pytest
 
 from algconn import _kernels, search
+from algconn._kernels import _pure
 from algconn.families import (
     bethe_tree,
     complete,
@@ -214,7 +215,7 @@ def test_enumerate_trees_edge_cases():
     assert list(enumerate_trees(5, 1)) == []
     assert len(list(enumerate_trees(5, 2))) == 1
     with pytest.raises(ValueError):
-        list(enumerate_trees(25, 3))
+        enumerate_trees(25, 3)
     with pytest.raises(ValueError):
         count_trees(0, 3)
 
@@ -273,10 +274,17 @@ def test_cubic_includes_named_graphs():
     assert pet in {canonical_key(g) for g in enumerate_cubic(10)}
 
 
+def test_cubic_enumeration_work_bound(monkeypatch):
+    # one labeling per distinct partial state: 2,625 for the 85 graphs
+    calls = _count_labelings(monkeypatch)
+    assert sum(1 for _ in enumerate_cubic(12)) == 85
+    assert calls["labelings"] <= 2625
+
+
 def test_cubic_rejects_bad_n():
     for bad in (3, 5, 2, 16):
         with pytest.raises(ValueError):
-            list(enumerate_cubic(bad))
+            enumerate_cubic(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -297,21 +305,28 @@ def test_graph_counts_match_bitmask_oracle():
     assert list(enumerate_graphs(2, 1)) == [path(2)]
 
 
-def test_graph_enumeration_work_bound(monkeypatch):
-    # one labeling per distinct partial state (5,757 calls here); labeling
-    # every candidate edge of every partial graph takes 66 per graph
-    calls = 0
-    key = _kernels.canon_key
+def _count_labelings(monkeypatch):
+    # the generator's canon_key calls, one per distinct partial state, on
+    # the pure kernel
+    calls = {"labelings": 0}
 
     def counted(*args):
-        nonlocal calls
-        calls += 1
-        return key(*args)
+        calls["labelings"] += 1
+        return _pure.canon_key(*args)
 
     monkeypatch.setattr(_kernels, "canon_key", counted)
+    return calls
+
+
+def test_graph_enumeration_work_bound(monkeypatch):
+    # one labeling per distinct partial state (5,757 calls here, a bound
+    # that a generator expanding more states breaks); labeling every
+    # candidate edge of every partial graph takes 66 per graph
+    calls = _count_labelings(monkeypatch)
     graphs = sum(1 for _ in enumerate_graphs(8, 12, 2))
     assert graphs == 513
-    assert calls <= 16 * graphs
+    assert calls["labelings"] <= 16 * graphs
+    assert calls["labelings"] <= 5757
 
 
 def test_graph_enumeration_contains_expected_members():
@@ -324,13 +339,13 @@ def test_graph_enumeration_contains_expected_members():
 
 def test_graph_enumeration_rejects_bad_input():
     with pytest.raises(ValueError):
-        list(enumerate_graphs(11, 10, 0))
+        enumerate_graphs(11, 10, 0)
     with pytest.raises(ValueError):
-        list(enumerate_graphs(5, 11, 0))
+        enumerate_graphs(5, 11, 0)
     with pytest.raises(ValueError):
-        list(enumerate_graphs(5, 3, 2))  # degree floor infeasible
+        enumerate_graphs(5, 3, 2)  # degree floor infeasible
     with pytest.raises(ValueError):
-        list(enumerate_graphs(1, 0, 1))
+        enumerate_graphs(1, 0, 1)
 
 
 # ---------------------------------------------------------------------------

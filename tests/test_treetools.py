@@ -7,10 +7,11 @@ from fractions import Fraction
 import pytest
 
 from algconn.families import bethe_tree, double_binary_tree, path, random_tree, star
-from algconn.graphs import from_edges, max_degree
+from algconn.graphs import _components, from_edges, max_degree, permute
 from algconn.spectral import algebraic_connectivity
 from algconn.treetools import (
     SplitResult,
+    _branches,
     find_splitting_vertex,
     is_well_balanced,
     split_component_floor,
@@ -47,10 +48,12 @@ def test_splitting_vertex_bethe():
 
 
 def test_splitting_vertex_rejects_non_trees():
-    with pytest.raises(ValueError):
-        find_splitting_vertex(from_edges(3, [(0, 1), (1, 2), (2, 0)]))
-    with pytest.raises(ValueError):
-        find_splitting_vertex(path(2))
+    triangle = from_edges(3, [(0, 1), (1, 2), (2, 0)])
+    for split in (find_splitting_vertex, split_spectral_bound):
+        with pytest.raises(ValueError):
+            split(triangle)
+        with pytest.raises(ValueError):
+            split(path(2))
 
 
 def test_split_guarantee_random_trees():
@@ -66,6 +69,26 @@ def test_split_guarantee_random_trees():
         big = [s for s in res.component_sizes if s >= floor]
         assert len(big) >= 2, (n, d, res)
         assert sum(res.component_sizes) == n - 1
+
+
+def test_branches_match_component_scan():
+    # the one rooted pass lists, for every vertex, the components its
+    # removal leaves, each with the one neighbour inside it; the splitting
+    # vertex is the one whose largest component is smallest, lowest first
+    rng = random.Random(71)
+    for _ in range(60):
+        n = rng.randrange(3, 40)
+        t = random_tree(n, rng.randrange(2, 6), rng.randrange(10**6))
+        perm = list(range(n))
+        rng.shuffle(perm)
+        t = permute(t, perm)
+        largest = []
+        for v, comps in enumerate(_branches(t)):
+            masks = sorted(m for m, _ in comps)
+            assert masks == sorted(_components(t.rows, ((1 << n) - 1) ^ (1 << v)))
+            assert all(t.rows[v] & m == 1 << u for m, u in comps)
+            largest.append(max(m.bit_count() for m in masks))
+        assert find_splitting_vertex(t).vertex == largest.index(min(largest))
 
 
 def test_split_component_floor_values():
