@@ -98,6 +98,10 @@ def _csv_cell(v) -> str:
     return str(v)
 
 
+# the header of a table that may come out empty
+_COLUMNS = {"augment": ("step", "i", "j", "lambda2")}
+
+
 def _emit(command: str, params: dict, results, fmt: str, wall: Optional[float]):
     if fmt == "json":
         record = {"command": command, "parameters": params, "results": results}
@@ -107,7 +111,7 @@ def _emit(command: str, params: dict, results, fmt: str, wall: Optional[float]):
         return
     rows = results if isinstance(results, list) else [results]
     writer = csv.writer(sys.stdout, lineterminator="\n")
-    header = list(rows[0].keys()) if rows else []
+    header = list(rows[0].keys()) if rows else list(_COLUMNS.get(command, ()))
     if wall is not None:
         header = header + ["wall_time"]
     writer.writerow(header)
@@ -220,7 +224,7 @@ def _cmd_verify(args):
 def _cmd_augment(args):
     trace = edge_augmentation(args.n, args.m)
     rows = [
-        {"step": k + 1, "i": i, "j": j, "lambda2": val}
+        dict(zip(_COLUMNS["augment"], (k + 1, i, j, val)))
         for k, ((i, j), val) in enumerate(trace.steps)
     ]
     return {"n": args.n, "m": args.m}, rows, "csv"
@@ -230,7 +234,7 @@ def _cmd_compare(args):
     m_values = [int(tok) for tok in args.m_list.split(",") if tok]
     if not m_values:
         raise ValueError("--m-list needs at least one edge count")
-    cmp = compare_families(args.n, m_values, threads=args.threads)
+    cmp = compare_families(args.n, m_values)
     rows = [dataclasses.asdict(r) for r in cmp.rows]
     return {"n": args.n, "m_list": m_values}, rows, "csv"
 

@@ -6,7 +6,14 @@ import itertools
 import random
 from typing import Optional
 
-from .graphs import Graph, degree_sequence, from_edges, girth, is_connected
+from .graphs import (
+    MAX_VERTICES,
+    Graph,
+    degree_sequence,
+    from_edges,
+    girth,
+    is_connected,
+)
 
 
 def path(n: int) -> Graph:
@@ -49,6 +56,12 @@ def bethe_tree(d: int, K: int) -> Graph:
         raise ValueError("bethe_tree needs d >= 3")
     if K < 1:
         raise ValueError("bethe_tree needs K >= 1")
+    n, width = 1, d
+    for _ in range(K):  # count the levels before building any
+        n += width
+        if n > MAX_VERTICES:
+            raise ValueError(f"bethe_tree({d}, {K}) exceeds {MAX_VERTICES} vertices")
+        width *= d - 1
     edges = []
     level = [0]
     nxt_id = 1

@@ -16,7 +16,6 @@ import numpy as np
 from .graphs import Graph, is_connected, max_degree
 
 RESIDUAL_TOL = 1e-8
-SYMMETRY_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -75,33 +74,6 @@ def _fix_sign(vec: np.ndarray) -> np.ndarray:
     return -vec if vec[idx] < 0 else vec
 
 
-def eigen_smallest(mat: np.ndarray, k: int = 1) -> list[EigenResult]:
-    """The k smallest eigenpairs of a symmetric matrix, ascending.
-
-    Vectors are unit-norm with the deterministic sign convention; each pair
-    carries its residual, which must come out <= 1e-8 * max(1, |value|).
-    """
-    mat = np.asarray(mat, dtype=float)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError("matrix must be square")
-    n = mat.shape[0]
-    if not 1 <= k <= n:
-        raise ValueError(f"k must be in 1..{n}")
-    if np.max(np.abs(mat - mat.T), initial=0.0) > SYMMETRY_TOL:
-        raise ValueError("matrix is not symmetric")
-    vals, vecs = np.linalg.eigh(mat)
-    out = []
-    for i in range(k):
-        v = _fix_sign(vecs[:, i])
-        res = float(np.linalg.norm(mat @ v - vals[i] * v))
-        if res > RESIDUAL_TOL * max(1.0, abs(vals[i])):
-            raise ArithmeticError(
-                f"eigenpair residual {res:.3e} exceeds tolerance for value {vals[i]}"
-            )
-        out.append(EigenResult(value=float(vals[i]), vector=v, residual=res))
-    return out
-
-
 def laplacian_spectrum(g: Graph) -> np.ndarray:
     """All Laplacian eigenvalues, ascending."""
     return np.linalg.eigvalsh(laplacian(g))
@@ -119,21 +91,21 @@ def fiedler_vector(g: Graph) -> EigenResult:
 
     The constant kernel direction is deflated by adding (n+1)/n * J, which
     shifts only the eigenvalue at 0 up to n+1; the smallest eigenpair of the
-    deflated matrix is then the Fiedler pair.  Residual is re-checked
+    deflated matrix is then the Fiedler pair.  The residual is checked
     against the original Laplacian.
     """
     if g.n < 2:
         raise ValueError("Fiedler vector needs n >= 2")
     L = laplacian(g)
-    shifted = L + (g.n + 1.0) / g.n * np.ones((g.n, g.n))
-    pair = eigen_smallest(shifted, k=1)[0]
-    v = pair.vector
-    res = float(np.linalg.norm(L @ v - pair.value * v))
-    if res > RESIDUAL_TOL * max(1.0, abs(pair.value)):
+    vals, vecs = np.linalg.eigh(L + (g.n + 1.0) / g.n * np.ones((g.n, g.n)))
+    value = float(vals[0])
+    v = _fix_sign(vecs[:, 0])
+    res = float(np.linalg.norm(L @ v - value * v))
+    if res > RESIDUAL_TOL * max(1.0, abs(value)):
         raise ArithmeticError(f"Fiedler residual {res:.3e} exceeds tolerance")
     if abs(float(np.sum(v))) > 1e-9 * math.sqrt(g.n):
         raise ArithmeticError("Fiedler vector lost orthogonality to constants")
-    return EigenResult(value=pair.value, vector=v, residual=res)
+    return EigenResult(value=value, vector=v, residual=res)
 
 
 def batched_lambda2(laplacians: np.ndarray) -> np.ndarray:

@@ -266,7 +266,7 @@ def test_criterion_08_augmentation_thresholds():
     median = float(np.median(degs))
     assert degs[-1] >= 3 * median, "no degree outlier in the augmented graph"
 
-    cmp = compare_families(100, [99, 196, 291, 384], threads=4)
+    cmp = compare_families(100, [99, 196, 291, 384])
     for row in cmp.rows:
         assert row.bipartite_b <= 4
         assert row.bipartite >= row.augmented - TOL

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -179,6 +180,9 @@ def test_augment_csv(capsys):
     assert lines[0] == "step,i,j,lambda2"
     assert len(lines) == 7
     assert float(lines[-1].split(",")[-1]) == pytest.approx(4.0)
+    # an empty trace still prints its header
+    code, out, _ = run_cli(capsys, "augment", "-n", "5", "-m", "0")
+    assert code == 0 and out == "step,i,j,lambda2\n"
 
 
 def test_compare_csv_and_note(capsys):
@@ -221,6 +225,8 @@ def test_usage_errors_exit_1(capsys):
         ["verify", "cubic", "-K", "2", "--samples", "-3"],
         ["verify", "k2", "-n", "6", "--samples", "0"],
         ["augment", "-n", "1", "-m", "0"],
+        ["augment", "-n", "4097", "-m", "0"],
+        ["compare", "-n", "4097", "--m-list", "4096"],
         # parse errors: each command takes only the options it reads
         ["verify", "k2", "-n", "abc"],
         ["verify", "bogus"],
@@ -238,6 +244,15 @@ def test_usage_errors_exit_1(capsys):
         assert out == "" and err.startswith("error:")
         if argv[0] == "consensus":
             assert "requires a connected graph" in err
+
+
+def test_oversized_reference_tree_exits_1_at_once(capsys):
+    # bethe_tree(3, 20) has 3,145,726 vertices: rejected before it is built
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, "verify", "tree2", "-d", "3", "-K", "20")
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 1 and out == ""
+    assert "exceeds 4096 vertices" in err
 
 
 def test_stdout_deterministic(capsys):

@@ -56,6 +56,10 @@ def test_bethe_tree_shape():
     assert max_degree(g) == 4
     with pytest.raises(ValueError):
         bethe_tree(2, 3)
+    # 3,070 vertices fit; the level count rejects 6,142 before building
+    assert bethe_tree(3, 10).n == 3070
+    with pytest.raises(ValueError, match="exceeds 4096 vertices"):
+        bethe_tree(3, 11)
 
 
 def test_double_binary_tree_shape():

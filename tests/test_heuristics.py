@@ -54,7 +54,7 @@ def test_connectivity_arrives_at_tree_size_then_monotone():
     assert is_connected(tr.final)
 
 
-def test_one_eigendecomposition_per_step(monkeypatch):
+def _count_solves(monkeypatch):
     calls = {"eigh": 0, "eigvalsh": 0}
     for name in calls:
 
@@ -63,6 +63,11 @@ def test_one_eigendecomposition_per_step(monkeypatch):
             return _solve(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+def test_one_eigendecomposition_per_step(monkeypatch):
+    calls = _count_solves(monkeypatch)
     edge_augmentation(12, 30)
     assert calls == {"eigh": 31, "eigvalsh": 0}  # m + 1 solves
 
@@ -84,11 +89,19 @@ def test_degree_concentration():
     assert degs[-1] >= 3 * float(np.median(degs))
 
 
-def test_augmentation_rejects_bad_input():
+def test_augmentation_rejects_bad_input(monkeypatch):
+    calls = _count_solves(monkeypatch)
     with pytest.raises(ValueError):
         edge_augmentation(1, 0)
     with pytest.raises(ValueError):
         edge_augmentation(4, 7)
+    # past MAX_VERTICES the call fails before any Laplacian is built or solved
+    for n, m in ((4097, 0), (100000, 1)):
+        with pytest.raises(ValueError, match="vertex count"):
+            edge_augmentation(n, m)
+    with pytest.raises(ValueError, match="vertex count"):
+        compare_families(4097, [4096])
+    assert calls == {"eigh": 0, "eigvalsh": 0}
 
 
 def test_largest_bipartite_part():
@@ -117,10 +130,25 @@ def test_compare_families_rows():
     assert r64.augmented > 0
 
 
-def test_compare_families_thread_invariance():
-    a = compare_families(14, [20, 28])
-    b = compare_families(14, [20, 28], threads=3)
-    assert a == b
+def test_compare_families_reads_one_trace(monkeypatch):
+    # the trace to m edges is a prefix of the trace to the largest budget
+    n, budgets = 14, [20, 13, 28, 21]
+    calls = _count_solves(monkeypatch)
+    cmp = compare_families(n, budgets)
+    assert calls["eigh"] == max(budgets) + 1
+    for row in cmp.rows:
+        alone = edge_augmentation(n, row.m).steps[-1][1]
+        assert row.augmented.hex() == alone.hex()
+
+
+def test_compare_families_skips_dense_regular():
+    # d = 2m/n >= 7 would keep the pairing model restarting for minutes
+    for n, m in ((9, 36), (10, 40)):
+        (row,) = compare_families(n, [m]).rows
+        assert row.regular_d is None and row.regular_mean is None
+        assert row.note == "2m/n >= 7; regular column skipped"
+    (row,) = compare_families(9, [27]).rows  # d = 6 is still sampled
+    assert row.regular_d == 6 and row.note == ""
 
 
 def test_compare_families_rejects_bad_budgets():

@@ -10,10 +10,10 @@ import pytest
 from algconn.families import random_tree
 from algconn.graphs import from_edges
 from algconn.spectral import (
+    _fix_sign,
     algebraic_connectivity,
     batched_lambda2,
     consensus_decay_rate,
-    eigen_smallest,
     fiedler_vector,
     laplacian,
     laplacian_spectrum,
@@ -124,16 +124,15 @@ def test_lambda2_known_values():
 
 
 # ---------------------------------------------------------------------------
-# eigen_smallest contract
+# sign convention
 # ---------------------------------------------------------------------------
 
 
-def test_eigen_smallest_diagonal_oracle():
-    res = eigen_smallest(np.diag([3.0, 1.0, 2.0]), k=3)
-    assert [r.value for r in res] == pytest.approx([1.0, 2.0, 3.0])
-    assert np.allclose(np.abs(res[0].vector), [0, 1, 0])
-    assert res[0].vector[1] > 0  # sign convention: big entry nonnegative
-    assert all(r.residual <= 1e-8 for r in res)
+def test_fix_sign_convention():
+    # the largest-magnitude entry, the lowest index on ties, is nonnegative
+    assert list(_fix_sign(np.array([0.0, -1.0, 0.5]))) == [0.0, 1.0, -0.5]
+    assert list(_fix_sign(np.array([-0.5, 0.5]))) == [0.5, -0.5]
+    assert list(_fix_sign(np.array([0.5, -0.5]))) == [0.5, -0.5]
 
 
 def test_eigen_smallest_sign_is_permutation_stable():
@@ -143,15 +142,6 @@ def test_eigen_smallest_sign_is_permutation_stable():
         g = _random_connected(rng, n)
         v = fiedler_vector(g).vector
         assert v[int(np.argmax(np.abs(v)))] >= 0
-
-
-def test_eigen_smallest_rejects_bad_input():
-    with pytest.raises(ValueError):
-        eigen_smallest(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    with pytest.raises(ValueError):
-        eigen_smallest(np.zeros((2, 3)))
-    with pytest.raises(ValueError):
-        eigen_smallest(np.zeros((2, 2)), k=3)
 
 
 def test_batched_lambda2_matches_single():
