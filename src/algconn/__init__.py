@@ -13,7 +13,7 @@ from .bounds import (
     tk_bound,
     tree_bound_precise,
 )
-from .families import bethe_tree, graph_from_spec, named, named_graph_names
+from .families import bethe_tree, named, named_graph_names
 from .graphs import (
     Graph,
     GraphFormatError,
@@ -66,7 +66,6 @@ __all__ = [
     "girth_bound",
     "graph6_decode",
     "graph6_encode",
-    "graph_from_spec",
     "is_well_balanced",
     "kernel_backend",
     "laplacian",

@@ -79,10 +79,9 @@ def edge_augmentation(n: int, m: int) -> AugmentationTrace:
         v = _fix_sign(vecs[:, 1])
         diff = np.abs(v[:, None] - v[None, :])
         diff[lower | (L < 0)] = -1.0
+        # m <= n(n-1)/2 and each step adds a new edge, so a non-edge is left
         flat = int(np.argmax(diff))  # first maximum in row-major order:
         i, j = divmod(flat, n)  # lexicographically smallest tie
-        if diff[i, j] < 0:
-            raise RuntimeError("no non-adjacent pair left")  # pragma: no cover
         L[i, j] = L[j, i] = -1.0
         L[i, i] += 1.0
         L[j, j] += 1.0

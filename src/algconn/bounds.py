@@ -276,7 +276,7 @@ def bound_report(g: Graph) -> BoundReport:
 
     tree = is_tree(g)
     d = max_degree(g)
-    if tree and g.n >= 2:
+    if tree:
         D = diameter(g)
         add("diameter_path", _path_bound(D), True, True, f"embedded path, D={D}")
     else:
@@ -300,8 +300,8 @@ def bound_report(g: Graph) -> BoundReport:
         add("tree_conjectured", None, False, False, why)
 
     cubic = degree_sequence(g) == (3,) * g.n
-    gir = girth(g) if cubic else None
-    if cubic and gir is not None:
+    if cubic:  # 3n/2 edges on n vertices: a cubic graph has a cycle
+        gir = girth(g)
         add("girth_cubic", girth_bound(gir), True, True,
             f"girth {gir}, K={gir // 2}")
     else:

@@ -8,7 +8,9 @@ CSV), and keeps all diagnostics on stderr.  Floats are printed with 12
 significant digits.  Output is identical across runs and thread counts;
 wall-clock time is only included when ``--timing`` is given.  ``enumerate``
 and ``verify`` have one sub-command per family and per check, each taking
-only the options it reads.
+only the options it reads.  A sub-command's handler returns ``(params,
+results[, exit_code])``; its default ``--format`` is set on the parser, and
+``_emit`` prints the results in the parsed ``--format``.
 
 Exit codes: 0 success (verify: exhaustive PASS), 1 usage (parse errors
 included) or I/O error, 2 verify FAIL, 3 verify PASS from sampling only.
@@ -29,7 +31,7 @@ import numpy as np
 
 from .augment import compare_families, edge_augmentation
 from .bounds import bound_report
-from .families import graph_from_spec, named_graph_names
+from .families import named, named_graph_names
 from .graphs import (
     Graph,
     GraphFormatError,
@@ -64,9 +66,8 @@ def _load_graph(source: str) -> Graph:
     ``named:NAME`` | path to a file of graph6 lines, of which the first graph
     is used (every line must decode) | graph6 literal.
     """
-    g = graph_from_spec(source)
-    if g is not None:
-        return g
+    if source.startswith("named:"):
+        return named(source[len("named:") :])
     if os.path.exists(source):
         graphs = read_graph6_file(source)
         if not graphs:
@@ -102,18 +103,20 @@ def _csv_cell(v) -> str:
 _COLUMNS = {"augment": ("step", "i", "j", "lambda2")}
 
 
-def _emit(command: str, params: dict, results, fmt: str, wall: Optional[float]):
-    if fmt == "json":
-        record = {"command": command, "parameters": params, "results": results}
+def _emit(args, params: dict, results, wall: Optional[float]):
+    if args.format == "json":
+        record = {"command": args.command, "parameters": params, "results": results}
         if wall is not None:
             record["wall_time"] = wall
         print(json.dumps(_round12(record)))
         return
     rows = results if isinstance(results, list) else [results]
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    header = list(rows[0].keys()) if rows else list(_COLUMNS.get(command, ()))
+    header = list(rows[0].keys()) if rows else list(_COLUMNS.get(args.command, ()))
     if wall is not None:
-        header = header + ["wall_time"]
+        # an empty table gets one row of empty cells to carry the wall time
+        rows = rows or [dict.fromkeys(header)]
+        header.append("wall_time")
+    writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(header)
     for row in rows:
         cells = [_csv_cell(v) for v in row.values()]
@@ -130,7 +133,7 @@ def _echo(args, *unread) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers: return (params, results, default_format[, exit_code])
+# subcommand handlers: return (params, results[, exit_code])
 # ---------------------------------------------------------------------------
 
 
@@ -143,7 +146,7 @@ def _cmd_lambda2(args):
     }
     if args.vector:
         results["fiedler_vector"] = [float(x) for x in fiedler_vector(g).vector]
-    return {"source": args.source, "vector": args.vector}, results, "json"
+    return {"source": args.source, "vector": args.vector}, results
 
 
 def _cmd_bounds(args):
@@ -154,7 +157,7 @@ def _cmd_bounds(args):
         results = rows
     else:
         results = {"lambda2": report.lambda2, "bounds": rows}
-    return {"source": args.source}, results, "json"
+    return {"source": args.source}, results
 
 
 def _cmd_tree_split(args):
@@ -166,7 +169,7 @@ def _cmd_tree_split(args):
         "spectral_bound": split_spectral_bound(g),
         "lambda2": algebraic_connectivity(g),
     }
-    return {"source": args.source}, results, "json"
+    return {"source": args.source}, results
 
 
 def _cmd_enumerate(args):
@@ -180,31 +183,24 @@ def _cmd_enumerate(args):
     params = _echo(args, "max_lambda2")
     if args.max_lambda2:
         if args.family == "trees":
-            outcome = maximize_trees(
-                args.n, d_max, threads=args.threads, family_name=args.family
-            )
+            outcome = maximize_trees(args.n, d_max, threads=args.threads)
         else:
-            outcome = maximize_lambda2(
-                fam, threads=args.threads, family_name=args.family
-            )
-        return params, dataclasses.asdict(outcome), "json"
+            outcome = maximize_lambda2(fam, threads=args.threads)
+        return params, {"family": args.family, **dataclasses.asdict(outcome)}
     # plain stream: one graph6 line per graph, independent of --format
     for g in fam:
         print(graph6_encode(g))
-    return params, None, "json"
+    return params, None
 
 
 def _cmd_verify(args):
     if args.conjecture == "k2":
         rep = verify_conjecture_k2(args.n, threads=args.threads)
     elif args.conjecture == "tree2":
-        if args.samples < 1:
-            raise ValueError("samples must be >= 1")
-        exhaustive = True if args.exhaustive else None
         rep = verify_conjecture_tree2(
             args.d,
             args.K,
-            exhaustive=exhaustive,
+            exhaustive=args.exhaustive,
             samples=args.samples,
             seed=args.seed,
             threads=args.threads,
@@ -218,7 +214,7 @@ def _cmd_verify(args):
     else:
         code = 3
     params = _echo(args, *(("samples", "seed") if rep.exhaustive else ()))
-    return params, dataclasses.asdict(rep), "json", code
+    return params, dataclasses.asdict(rep), code
 
 
 def _cmd_augment(args):
@@ -227,7 +223,7 @@ def _cmd_augment(args):
         dict(zip(_COLUMNS["augment"], (k + 1, i, j, val)))
         for k, ((i, j), val) in enumerate(trace.steps)
     ]
-    return {"n": args.n, "m": args.m}, rows, "csv"
+    return {"n": args.n, "m": args.m}, rows
 
 
 def _cmd_compare(args):
@@ -236,7 +232,7 @@ def _cmd_compare(args):
         raise ValueError("--m-list needs at least one edge count")
     cmp = compare_families(args.n, m_values)
     rows = [dataclasses.asdict(r) for r in cmp.rows]
-    return {"n": args.n, "m_list": m_values}, rows, "csv"
+    return {"n": args.n, "m_list": m_values}, rows
 
 
 def _cmd_consensus(args):
@@ -258,7 +254,7 @@ def _cmd_consensus(args):
         "dt": dt,
     }
     params = {"source": args.source, "seed": args.seed}
-    return params, results, "json"
+    return params, results
 
 
 # ---------------------------------------------------------------------------
@@ -282,10 +278,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(subs, name, help_, func):
+    def command(subs, name, help_, func, fmt="json"):
         p = subs.add_parser(name, help=help_)
         p.add_argument(
-            "--format", choices=("json", "csv"), default=None, help="output format"
+            "--format", choices=("json", "csv"), default=fmt, help="output format"
         )
         p.add_argument(
             "--timing", action="store_true", help="include wall time in output"
@@ -335,11 +331,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p = command(checks, "cubic", "the girth bound is attained once", _cmd_verify)
     p.add_argument("-K", type=int, default=2, help="depth")
 
-    p = command(sub, "augment", "greedy spectral edge augmentation trace", _cmd_augment)
+    p = command(
+        sub, "augment", "greedy spectral edge augmentation trace", _cmd_augment, "csv"
+    )
     p.add_argument("-n", type=int, required=True)
     p.add_argument("-m", type=int, required=True)
 
-    p = command(sub, "compare", "augmentation vs bipartite vs regular", _cmd_compare)
+    p = command(
+        sub, "compare", "augmentation vs bipartite vs regular", _cmd_compare, "csv"
+    )
     p.add_argument("-n", type=int, required=True)
     p.add_argument("--m-list", required=True, help="comma-separated edge counts")
 
@@ -358,17 +358,14 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         start = time.perf_counter()
-        out = args.func(args)
+        params, results, *code = args.func(args)
     except (GraphFormatError, ValueError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    params, results, default_fmt = out[0], out[1], out[2]
-    code = out[3] if len(out) > 3 else 0
     if results is not None:
         wall = time.perf_counter() - start if args.timing else None
-        fmt = args.format or default_fmt
-        _emit(args.command, params, results, fmt, wall)
-    return code
+        _emit(args, params, results, wall)
+    return code[0] if code else 0
 
 
 if __name__ == "__main__":

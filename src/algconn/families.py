@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import Optional
 
 from .graphs import (
     MAX_VERTICES,
@@ -237,10 +236,3 @@ def random_tree(n: int, d_max: int, seed: int) -> Graph:
         deg[u] += 1
         deg[v] += 1
     return from_edges(n, edges)
-
-
-def graph_from_spec(source: str) -> Optional[Graph]:
-    """Resolve 'named:NAME' strings; returns None for anything else."""
-    if source.startswith("named:"):
-        return named(source[len("named:") :])
-    return None

@@ -17,7 +17,9 @@ graphs by their canonical rows, across degree sequences too.
 One sweep serves every check: the maximizer, the exhaustive conjecture
 checks, the sampled tree check and the cubic attainment check all take their
 lambda2 values from ``_sweep``, which solves a family chunk by chunk through
-the batched eigensolver and yields the values in family order.
+the batched eigensolver and yields the values in family order.  ``_sweep``
+is also the one place that turns a ``threads`` argument into a worker count
+(``resolve_threads``); every entry point passes its argument on unchanged.
 
 Tree maximization solves only the trees that can win.  Each layout of the
 tree walk is rooted at a centre, so its height bounds the tree's diameter
@@ -65,7 +67,6 @@ DEFAULT_SAMPLES = 200
 class SearchOutcome:
     """Result of maximizing connectivity over a finite family."""
 
-    family: str
     enumerated: int
     best_lambda2: float
     maximizers: tuple[str, ...]  # canonical graph6, sorted
@@ -261,28 +262,36 @@ def enumerate_graphs(n: int, m: int, min_degree: int = 0) -> Iterator[Graph]:
 # ---------------------------------------------------------------------------
 
 
+# chunks come from one GIL-bound thread and threads + 1 are in flight, so
+# more workers would sit idle and hold more of the family in memory
+MAX_THREADS = 64
+
+
 def resolve_threads(threads: Optional[int] = None) -> int:
-    """Worker threads for a sweep: the argument, else one per CPU.  The
-    library and the CLI share this default."""
+    """Worker threads for a sweep: the argument, else one per CPU, at most
+    ``MAX_THREADS`` either way."""
     if threads is None:
-        return os.cpu_count() or 1
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
+        return min(os.cpu_count() or 1, MAX_THREADS)
+    if not 1 <= threads <= MAX_THREADS:
+        raise ValueError(f"threads must be in 1..{MAX_THREADS}")
     return threads
 
 
 _TIE_TOL = 1e-9
 
 
-def _sweep(family: Iterable[Graph], threads: int) -> Iterator[tuple[float, Graph]]:
+def _sweep(
+    family: Iterable[Graph], threads: Optional[int] = None
+) -> Iterator[tuple[float, Graph]]:
     """(lambda2, graph) for every graph of the family, in family order.
 
     Graphs are solved in fixed-size chunks through the batched eigensolver,
     one stacked solve per vertex count in a chunk.  Chunks may be solved on
-    worker threads; at most threads + 1 are in flight at once, so the
-    family is never held in memory whole, and results come back in
-    submission order.
+    worker threads, as many as ``resolve_threads(threads)`` gives; at most
+    one more chunk than that is in flight at once, so the family is never
+    held in memory whole, and results come back in submission order.
     """
+    threads = resolve_threads(threads)
     it = iter(family)
 
     def solve(block):
@@ -310,7 +319,7 @@ def _sweep(family: Iterable[Graph], threads: int) -> Iterator[tuple[float, Graph
 
 
 def maximize_lambda2(
-    family: Iterable[Graph], threads: Optional[int] = None, family_name: str = ""
+    family: Iterable[Graph], threads: Optional[int] = None
 ) -> SearchOutcome:
     """Largest algebraic connectivity over a family, with all maximizers.
 
@@ -318,10 +327,10 @@ def maximize_lambda2(
     1e-9 and then by canonical graph6 string, so the outcome is independent
     of thread count.
     """
-    return _best_of(_sweep(family, resolve_threads(threads)), family_name)
+    return _best_of(_sweep(family, threads))
 
 
-def _best_of(solved: Iterable[tuple[float, Graph]], family_name: str) -> SearchOutcome:
+def _best_of(solved: Iterable[tuple[float, Graph]]) -> SearchOutcome:
     # the maximizers are every graph within 1e-9 of the final best, in
     # whatever order the pairs arrive
     total = 0
@@ -338,10 +347,7 @@ def _best_of(solved: Iterable[tuple[float, Graph]], family_name: str) -> SearchO
         raise ValueError("empty family")
     maximizers = sorted({graph6_encode(_canonical_graph(g)) for _, g in candidates})
     return SearchOutcome(
-        family=family_name,
-        enumerated=total,
-        best_lambda2=best,
-        maximizers=tuple(maximizers),
+        enumerated=total, best_lambda2=best, maximizers=tuple(maximizers)
     )
 
 
@@ -361,9 +367,7 @@ def _min_tree_height(n: int, d_max: int) -> int:
     return height
 
 
-def maximize_trees(
-    n: int, d_max: int, threads: Optional[int] = None, family_name: str = ""
-) -> SearchOutcome:
+def maximize_trees(n: int, d_max: int, threads: Optional[int] = None) -> SearchOutcome:
     """``maximize_lambda2(enumerate_trees(n, d_max))``, solving only the
     trees that can reach the maximum.
 
@@ -379,7 +383,6 @@ def maximize_trees(
     """
     if not _tree_family_nonempty(n, d_max):
         raise ValueError("empty family")
-    threads = resolve_threads(threads)
 
     def capped(height, above=-1):
         for layout in _kernels.free_tree_layouts(n, d_max, height):
@@ -394,7 +397,7 @@ def maximize_trees(
         height += 1
     # the trees of the lowest height are solved already
     taller = _sweep(capped(height, lowest), threads)
-    outcome = _best_of(itertools.chain(first, taller), family_name)
+    outcome = _best_of(itertools.chain(first, taller))
     return replace(outcome, enumerated=count_trees(n, d_max))
 
 
@@ -456,7 +459,7 @@ def verify_conjecture_k2(n: int, threads: Optional[int] = None) -> ConjectureRep
 def verify_conjecture_tree2(
     d: int,
     K: int,
-    exhaustive: Optional[bool] = None,
+    exhaustive: bool = False,
     samples: int = DEFAULT_SAMPLES,
     seed: int = 0,
     threads: Optional[int] = None,
@@ -464,22 +467,22 @@ def verify_conjecture_tree2(
     """The balanced d-regular tree of depth K uniquely maximizes
     connectivity among trees of its size with degrees <= d.
 
-    Exhaustive by default for d=3, K<=2 (n=10); at d=3, K=3 (n=22) the
+    Always exhaustive for d=3, K<=2 (n=10); at d=3, K=3 (n=22) the
     family of 2.5e5 trees is still enumerable and exhaustive mode may be
     requested explicitly, the default there being a seeded sample.
+    ``samples`` must be at least 1 in either mode.
     """
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
     ref = bethe_tree(d, K)
     n = ref.n
-    if exhaustive is None:
-        exhaustive = d == 3 and K <= 2
+    exhaustive = exhaustive or (d == 3 and K <= 2)
     if exhaustive and n > TREE_MAX_N:
         raise ValueError(f"exhaustive mode needs n <= {TREE_MAX_N}, got n={n}")
     ref_val = algebraic_connectivity(ref)
     ref_g6 = graph6_encode(_canonical_graph(ref))
     if exhaustive:
-        outcome = maximize_trees(
-            n, d, threads=threads, family_name=f"trees(n={n}, d<={d})"
-        )
+        outcome = maximize_trees(n, d, threads=threads)
         unique_bethe = outcome.maximizers == (ref_g6,)
         sound = outcome.best_lambda2 <= ref_val + _TIE_TOL
         balanced = all(
@@ -501,12 +504,10 @@ def verify_conjecture_tree2(
             detail=detail,
             witnesses=outcome.maximizers,
         )
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
     rng = random.Random(seed)
     draws = (random_tree(n, d, rng.randrange(10**9)) for _ in range(samples))
     checked, top, bad = 0, -math.inf, []
-    for val, g in _sweep(draws, resolve_threads(threads)):
+    for val, g in _sweep(draws, threads):
         checked += 1
         top = max(top, val)
         if val > ref_val + _TIE_TOL:
@@ -537,7 +538,7 @@ def verify_conjecture_cubic(K: int) -> ConjectureReport:
     checked = 0
     attainers = []
     violations = []
-    for val, g in _sweep(enumerate_cubic(n), threads=1):
+    for val, g in _sweep(enumerate_cubic(n)):
         checked += 1
         if val > bound + _TIE_TOL:
             violations.append(graph6_encode(g))

@@ -4,16 +4,21 @@ import inspect
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
-from algconn.cli import _build_parser, main
-from algconn.families import path
+from algconn import cli
+from algconn.cli import _build_parser, _load_graph, main
+from algconn.families import named, path
 from algconn.graphs import graph6_decode, graph6_encode
-from algconn.search import DEFAULT_SAMPLES, verify_conjecture_tree2
+from algconn.search import DEFAULT_SAMPLES, ConjectureReport, verify_conjecture_tree2
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run_cli(capsys, *argv):
@@ -54,6 +59,23 @@ def test_lambda2_from_file(capsys, tmp_path):
     code, out, err = run_cli(capsys, "lambda2", str(f))
     assert code == 1
     assert out == "" and err.startswith("error:")
+
+
+def test_graph_source_grammar(capsys, tmp_path):
+    assert _load_graph("named:petersen") == named("petersen")
+    f = tmp_path / "graphs.g6"
+    f.write_text(graph6_encode(path(5)) + "\n" + graph6_encode(path(3)) + "\n")
+    assert _load_graph(str(f)) == path(5)  # a file gives its first graph
+    assert _load_graph("Ch") == graph6_decode("Ch")  # a literal decodes
+    empty = tmp_path / "empty.g6"
+    empty.write_text("")
+    for source, message in (
+        ("named:nope", "unknown graph 'nope'"),
+        (str(empty), "no graph6 line found"),
+    ):
+        code, out, err = run_cli(capsys, "lambda2", source)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and message in err
 
 
 def test_bounds_heawood(capsys):
@@ -114,6 +136,33 @@ def test_enumerate_max_lambda2(capsys):
     assert len(rec["results"]["maximizers"]) == 1
 
 
+def test_enumerate_max_lambda2_families(capsys):
+    for line, maximizers in (
+        ("cubic -n 10", ["I?LRCecq?"]),
+        ("graphs -n 7 -m 10 --min-degree 2", ["F?B~o"]),
+        ("graphs -n 5 -m 7 --min-degree 2", ["DF{", "DNw"]),  # a tie
+    ):
+        argv = line.split()
+        family = argv[0]
+        code, out, _ = run_cli(capsys, "enumerate", *argv, "--max-lambda2")
+        assert code == 0
+        rec = json.loads(out)
+        assert rec["parameters"]["family"] == family
+        assert list(rec["results"]) == [
+            "family", "enumerated", "best_lambda2", "maximizers"
+        ]
+        assert rec["results"]["family"] == family
+        assert rec["results"]["maximizers"] == maximizers
+        code, out, _ = run_cli(
+            capsys, "enumerate", *argv, "--max-lambda2", "--format", "csv"
+        )
+        assert code == 0
+        header, row = out.strip().split("\n")
+        assert header == "family,enumerated,best_lambda2,maximizers"
+        assert row.startswith(family + ",")
+        assert row.endswith("," + ";".join(maximizers))
+
+
 def test_verify_exit_codes(capsys):
     code, out, _ = run_cli(capsys, "verify", "k2", "-n", "6")
     assert code == 0
@@ -135,6 +184,24 @@ def test_verify_exit_codes(capsys):
 
     code, _, _ = run_cli(capsys, "verify", "tree2", "-d", "3", "-K", "2")
     assert code == 0
+
+
+def test_verify_fail_exits_2(capsys, monkeypatch):
+    failed = ConjectureReport(
+        name="conjecture_k2",
+        params={"n": 6, "m": 8, "min_degree": 2},
+        exhaustive=True,
+        checked=1,
+        passed=False,
+        detail="forced failure",
+        witnesses=("E?Fw",),
+    )
+    monkeypatch.setattr(cli, "verify_conjecture_k2", lambda n, threads: failed)
+    code, out, err = run_cli(capsys, "verify", "k2", "-n", "6")
+    assert code == 2 and err == ""
+    rec = json.loads(out)
+    assert rec["results"]["passed"] is False
+    assert rec["results"]["witnesses"] == ["E?Fw"]
 
 
 def test_verify_echoes_only_the_options_it_reads(capsys):
@@ -212,6 +279,17 @@ def test_timing_flag(capsys):
     assert out.split("\n")[0].endswith("wall_time")
 
 
+def test_timing_on_empty_table(capsys):
+    # one row of empty cells carries the wall time
+    code, out, _ = run_cli(capsys, "augment", "-n", "5", "-m", "0", "--timing")
+    assert code == 0
+    header, row = out.strip("\n").split("\n")
+    assert header == "step,i,j,lambda2,wall_time"
+    cells = row.split(",")
+    assert cells[:4] == ["", "", "", ""]
+    assert float(cells[4]) >= 0
+
+
 def test_usage_errors_exit_1(capsys):
     for argv in (
         ["lambda2", "not-a-graph!!"],
@@ -227,6 +305,9 @@ def test_usage_errors_exit_1(capsys):
         ["augment", "-n", "1", "-m", "0"],
         ["augment", "-n", "4097", "-m", "0"],
         ["compare", "-n", "4097", "--m-list", "4096"],
+        ["compare", "-n", "9", "--m-list", ","],
+        # above the worker ceiling; a one-chunk family in any case
+        ["verify", "k2", "-n", "6", "--threads", "100000"],
         # parse errors: each command takes only the options it reads
         ["verify", "k2", "-n", "abc"],
         ["verify", "bogus"],
@@ -253,6 +334,26 @@ def test_oversized_reference_tree_exits_1_at_once(capsys):
     assert time.perf_counter() - t0 < 1.0
     assert code == 1 and out == ""
     assert "exceeds 4096 vertices" in err
+
+
+def _readme_examples():
+    # every `algconn ...` line of the README's sh blocks, less the synopses
+    lines, in_sh = [], False
+    for line in README.read_text().splitlines():
+        if line.startswith("```"):
+            in_sh = line == "```sh"
+        elif in_sh and line.startswith("algconn ") and "[" not in line:
+            lines.append(line.split("#")[0])
+    return lines
+
+
+def test_readme_examples_parse():
+    examples = _readme_examples()
+    assert len(examples) == 12
+    parser = _build_parser()
+    for line in examples:
+        argv = shlex.split(line)[1:]
+        assert parser.parse_args(argv).func, line
 
 
 def test_stdout_deterministic(capsys):

@@ -10,7 +10,6 @@ from algconn.families import (
     complete_bipartite,
     cycle,
     double_binary_tree,
-    graph_from_spec,
     named,
     named_graph_names,
     path,
@@ -93,13 +92,6 @@ def test_named_graph_spectra():
     )
     # adjacency spectrum of the Tutte-Coxeter graph is {+-3, +-2, 0}
     assert algebraic_connectivity(named("tutte_coxeter")) == pytest.approx(1.0)
-
-
-def test_graph_from_spec():
-    assert graph_from_spec("named:petersen") == named("petersen")
-    assert graph_from_spec("Ch") is None
-    with pytest.raises(ValueError):
-        graph_from_spec("named:nope")
 
 
 def test_random_regular_is_regular_and_seeded():

@@ -32,6 +32,7 @@ from algconn.graphs import (
     max_degree,
 )
 from algconn.search import (
+    MAX_THREADS,
     ConjectureReport,
     _min_tree_height,
     _sweep,
@@ -354,7 +355,7 @@ def test_graph_enumeration_rejects_bad_input():
 
 
 def test_maximize_trees_n10():
-    outcome = maximize_lambda2(enumerate_trees(10, 3), family_name="trees")
+    outcome = maximize_lambda2(enumerate_trees(10, 3))
     assert outcome.enumerated == 37
     ref = bethe_tree(3, 2)
     assert outcome.best_lambda2 == pytest.approx(algebraic_connectivity(ref))
@@ -470,11 +471,26 @@ def test_sweep_matches_per_graph_solve_in_family_order():
         list(_sweep([path(3), Graph(1, [0])], 1))
 
 
-def test_resolve_threads_default():
-    assert resolve_threads(None) == (os.cpu_count() or 1)
+def test_resolve_threads_default(monkeypatch):
+    assert resolve_threads(None) == min(os.cpu_count() or 1, MAX_THREADS)
     assert resolve_threads(4) == 4
     with pytest.raises(ValueError):
         resolve_threads(0)
+    # the ceiling; no thread is started here, only the count is resolved
+    monkeypatch.setattr(os, "cpu_count", lambda: 1000)
+    assert resolve_threads(None) == MAX_THREADS == 64
+    for k in range(1, 9):
+        assert resolve_threads(k) == k
+    assert resolve_threads(MAX_THREADS) == MAX_THREADS
+    for k in (MAX_THREADS + 1, 100000):
+        with pytest.raises(ValueError, match="threads must be in 1..64"):
+            resolve_threads(k)
+    # _sweep resolves the count before it draws a graph
+    drawn = []
+    family = (drawn.append(k) or path(3) for k in range(5))
+    with pytest.raises(ValueError, match="threads must be in 1..64"):
+        next(_sweep(family, MAX_THREADS + 1))
+    assert drawn == []
 
 
 # ---------------------------------------------------------------------------
@@ -512,6 +528,10 @@ def test_verify_tree2_exhaustive():
     assert rep.exhaustive and rep.passed
     assert rep.checked == 37
     assert len(rep.witnesses) == 1
+    # exhaustive on request where the default samples: the 6 trees of the star
+    rep = verify_conjecture_tree2(5, 1, exhaustive=True)
+    assert rep.exhaustive and rep.passed
+    assert rep.checked == 6
 
 
 def test_verify_tree2_sampled():
@@ -525,8 +545,9 @@ def test_sampled_checks_need_a_sample():
     for samples in (0, -5):
         with pytest.raises(ValueError, match="samples must be >= 1"):
             verify_conjecture_tree2(3, 3, samples=samples)
-    # exhaustive runs ignore the sample count
-    assert verify_conjecture_tree2(3, 2, samples=0).passed
+        # an exhaustive run rejects it too
+        with pytest.raises(ValueError, match="samples must be >= 1"):
+            verify_conjecture_tree2(3, 2, samples=samples)
     assert verify_conjecture_tree2(3, 3, exhaustive=False, samples=1).checked == 1
 
 
