@@ -96,6 +96,8 @@ def _csv_cell(v) -> str:
         return "true" if v else "false"
     if isinstance(v, (list, tuple)):
         return ";".join(_csv_cell(x) for x in v)
+    if isinstance(v, dict):
+        return ";".join(f"{k}={_csv_cell(x)}" for k, x in v.items())
     return str(v)
 
 
@@ -113,17 +115,14 @@ def _emit(args, params: dict, results, wall: Optional[float]):
     rows = results if isinstance(results, list) else [results]
     header = list(rows[0].keys()) if rows else list(_COLUMNS.get(args.command, ()))
     if wall is not None:
-        # an empty table gets one row of empty cells to carry the wall time
-        rows = rows or [dict.fromkeys(header)]
+        # the wall time rides on the first row, later rows get an empty cell,
+        # and an empty table gets one row of empty cells to carry it
+        rows = [{**row, "wall_time": None} for row in rows or [dict.fromkeys(header)]]
+        rows[0]["wall_time"] = wall
         header.append("wall_time")
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        cells = [_csv_cell(v) for v in row.values()]
-        if wall is not None:
-            cells.append(_csv_cell(wall))
-            wall = None  # only on the first row
-        writer.writerow(cells)
+    writer.writerows([_csv_cell(v) for v in row.values()] for row in rows)
 
 
 def _echo(args, *unread) -> dict:
@@ -198,12 +197,7 @@ def _cmd_verify(args):
         rep = verify_conjecture_k2(args.n, threads=args.threads)
     elif args.conjecture == "tree2":
         rep = verify_conjecture_tree2(
-            args.d,
-            args.K,
-            exhaustive=args.exhaustive,
-            samples=args.samples,
-            seed=args.seed,
-            threads=args.threads,
+            args.d, args.K, samples=args.samples, seed=args.seed, threads=args.threads
         )
     else:
         rep = verify_conjecture_cubic(args.K)
@@ -327,7 +321,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-K", type=int, default=2, help="depth")
     p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--exhaustive", action="store_true")
     p = command(checks, "cubic", "the girth bound is attained once", _cmd_verify)
     p.add_argument("-K", type=int, default=2, help="depth")
 

@@ -20,6 +20,10 @@ lambda2 values from ``_sweep``, which solves a family chunk by chunk through
 the batched eigensolver and yields the values in family order.  ``_sweep``
 is also the one place that turns a ``threads`` argument into a worker count
 (``resolve_threads``); every entry point passes its argument on unchanged.
+Each check's range comes from the limit of the family it enumerates: the
+tree check sweeps exactly where the tree family is enumerable (n <=
+``TREE_MAX_N``) and samples past it, and the K_{2,n-2} and cubic checks stop
+at ``GRAPH_MAX_N`` and ``CUBIC_MAX_N``.
 
 Tree maximization solves only the trees that can win.  Each layout of the
 tree walk is rooted at a centre, so its height bounds the tree's diameter
@@ -420,8 +424,8 @@ def verify_conjecture_k2(n: int, threads: Optional[int] = None) -> ConjectureRep
     and the minimum-degree-3 graphs that tie it; members of minimum degree 2
     that also reach 2 are not listed.
     """
-    if not 5 <= n <= 10:
-        raise ValueError("supported range is 5 <= n <= 10")
+    if not 5 <= n <= GRAPH_MAX_N:
+        raise ValueError(f"supported range is 5 <= n <= {GRAPH_MAX_N}")
     m = 2 * (n - 2)
     floor = 2 if n <= 9 else 3
     ref = complete_bipartite(n, 2)
@@ -459,7 +463,6 @@ def verify_conjecture_k2(n: int, threads: Optional[int] = None) -> ConjectureRep
 def verify_conjecture_tree2(
     d: int,
     K: int,
-    exhaustive: bool = False,
     samples: int = DEFAULT_SAMPLES,
     seed: int = 0,
     threads: Optional[int] = None,
@@ -467,73 +470,67 @@ def verify_conjecture_tree2(
     """The balanced d-regular tree of depth K uniquely maximizes
     connectivity among trees of its size with degrees <= d.
 
-    Always exhaustive for d=3, K<=2 (n=10); at d=3, K=3 (n=22) the
-    family of 2.5e5 trees is still enumerable and exhaustive mode may be
-    requested explicitly, the default there being a seeded sample.
-    ``samples`` must be at least 1 in either mode.
+    Exhaustive wherever the tree family is enumerable (n <= TREE_MAX_N:
+    the stars up to d = 23, and (d, K) = (3, 2), (4, 2) and (3, 3), the
+    last over 254,371 trees); past it, a seeded sample of ``samples``
+    random trees, up to the 64 vertices of a canonical form.  ``samples``
+    must be at least 1 in either mode.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     ref = bethe_tree(d, K)
     n = ref.n
-    exhaustive = exhaustive or (d == 3 and K <= 2)
-    if exhaustive and n > TREE_MAX_N:
-        raise ValueError(f"exhaustive mode needs n <= {TREE_MAX_N}, got n={n}")
-    ref_val = algebraic_connectivity(ref)
+    # past the canonical-form limit this raises before any eigensolve
     ref_g6 = graph6_encode(_canonical_graph(ref))
+    ref_val = algebraic_connectivity(ref)
+    params = {"d": d, "K": K, "n": n}
+    exhaustive = n <= TREE_MAX_N
     if exhaustive:
         outcome = maximize_trees(n, d, threads=threads)
-        unique_bethe = outcome.maximizers == (ref_g6,)
+        checked, witnesses = outcome.enumerated, outcome.maximizers
+        unique_bethe = witnesses == (ref_g6,)
         sound = outcome.best_lambda2 <= ref_val + _TIE_TOL
-        balanced = all(
-            is_well_balanced(graph6_decode(s)) for s in outcome.maximizers
-        )
+        balanced = all(is_well_balanced(graph6_decode(s)) for s in witnesses)
         passed = sound and unique_bethe and balanced
         detail = (
             f"max lambda2 = {outcome.best_lambda2:.12g} over "
-            f"{outcome.enumerated} trees; balanced-tree value {ref_val:.12g}; "
+            f"{checked} trees; balanced-tree value {ref_val:.12g}; "
             f"unique maximizer is the balanced tree: {unique_bethe}; "
             f"maximizers well-balanced: {balanced}"
         )
-        return ConjectureReport(
-            name="conjecture_tree2",
-            params={"d": d, "K": K, "n": n},
-            exhaustive=True,
-            checked=outcome.enumerated,
-            passed=passed,
-            detail=detail,
-            witnesses=outcome.maximizers,
+    else:
+        rng = random.Random(seed)
+        draws = (random_tree(n, d, rng.randrange(10**9)) for _ in range(samples))
+        checked, top, bad = 0, -math.inf, set()
+        for val, g in _sweep(draws, threads):
+            checked += 1
+            top = max(top, val)
+            if val > ref_val + _TIE_TOL:
+                bad.add(graph6_encode(_canonical_graph(g)))
+        witnesses = tuple(sorted(bad)) or (ref_g6,)
+        passed = not bad
+        detail = (
+            f"sampled, not exhaustive: {checked} seeded trees; sample max "
+            f"{top:.12g}; balanced-tree value {ref_val:.12g}"
         )
-    rng = random.Random(seed)
-    draws = (random_tree(n, d, rng.randrange(10**9)) for _ in range(samples))
-    checked, top, bad = 0, -math.inf, []
-    for val, g in _sweep(draws, threads):
-        checked += 1
-        top = max(top, val)
-        if val > ref_val + _TIE_TOL:
-            bad.append(graph6_encode(_canonical_graph(g)))
-    passed = not bad
-    detail = (
-        f"sampled, not exhaustive: {checked} seeded trees; sample max "
-        f"{top:.12g}; balanced-tree value {ref_val:.12g}"
-    )
+        params.update(samples=samples, seed=seed)
     return ConjectureReport(
         name="conjecture_tree2",
-        params={"d": d, "K": K, "n": n, "samples": samples, "seed": seed},
-        exhaustive=False,
+        params=params,
+        exhaustive=exhaustive,
         checked=checked,
         passed=passed,
         detail=detail,
-        witnesses=tuple(sorted(set(bad))) if bad else (ref_g6,),
+        witnesses=witnesses,
     )
 
 
 def verify_conjecture_cubic(K: int) -> ConjectureReport:
     """The bound 3 - 2 sqrt(2) cos(pi/K) is attained by exactly one cubic
     graph on n = 2^(K+1) - 2 vertices, and no such graph exceeds it."""
-    if K not in (2, 3):
-        raise ValueError("supported levels are K = 2 and K = 3 (n <= 14)")
-    n = 2 ** (K + 1) - 2
+    # K is bounded before the power is taken
+    if not 2 <= K <= CUBIC_MAX_N or (n := 2 ** (K + 1) - 2) > CUBIC_MAX_N:
+        raise ValueError(f"supported levels are K = 2 and K = 3 (n <= {CUBIC_MAX_N})")
     bound = tk_bound(K)
     checked = 0
     attainers = []

@@ -1,5 +1,6 @@
 """CLI: output shapes, exit codes, determinism."""
 
+import argparse
 import inspect
 import json
 import math
@@ -14,8 +15,8 @@ import pytest
 
 from algconn import cli
 from algconn.cli import _build_parser, _load_graph, main
-from algconn.families import named, path
-from algconn.graphs import graph6_decode, graph6_encode
+from algconn.families import bethe_tree, named, path
+from algconn.graphs import _canonical_graph, graph6_decode, graph6_encode
 from algconn.search import DEFAULT_SAMPLES, ConjectureReport, verify_conjecture_tree2
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -167,6 +168,12 @@ def test_verify_exit_codes(capsys):
     code, out, _ = run_cli(capsys, "verify", "k2", "-n", "6")
     assert code == 0
     assert json.loads(out)["results"]["passed"] is True
+    # in CSV a dict cell is ;-joined key=value pairs
+    code, out, _ = run_cli(capsys, "verify", "k2", "-n", "6", "--format", "csv")
+    assert code == 0
+    header, row = out.strip("\n").split("\n")
+    assert header == "name,params,exhaustive,checked,passed,detail,witnesses"
+    assert row.startswith("conjecture_k2,n=6;m=8;min_degree=2,true,11,true,")
 
     # n = 10 is exhaustive through the Fiedler reduction
     code, out, _ = run_cli(capsys, "verify", "k2", "-n", "10")
@@ -174,9 +181,9 @@ def test_verify_exit_codes(capsys):
     rec = json.loads(out)
     assert rec["results"]["exhaustive"] and rec["results"]["checked"] == 357
 
-    # sampled-only pass reports exit 3
+    # sampled-only pass reports exit 3: past n = 24 (here n = 26)
     code, out, _ = run_cli(
-        capsys, "verify", "tree2", "-d", "3", "-K", "3", "--samples", "5"
+        capsys, "verify", "tree2", "-d", "5", "-K", "2", "--samples", "5"
     )
     assert code == 3
     rec = json.loads(out)
@@ -184,6 +191,14 @@ def test_verify_exit_codes(capsys):
 
     code, _, _ = run_cli(capsys, "verify", "tree2", "-d", "3", "-K", "2")
     assert code == 0
+
+    # exhaustive wherever the tree family is enumerable, n = 22 included
+    code, out, _ = run_cli(capsys, "verify", "tree2", "-d", "3", "-K", "3")
+    assert code == 0
+    rec = json.loads(out)
+    assert rec["results"]["exhaustive"] and rec["results"]["checked"] == 254371
+    balanced = graph6_encode(_canonical_graph(bethe_tree(3, 3)))
+    assert rec["results"]["witnesses"] == [balanced]
 
 
 def test_verify_fail_exits_2(capsys, monkeypatch):
@@ -212,13 +227,12 @@ def test_verify_echoes_only_the_options_it_reads(capsys):
     assert json.loads(out)["parameters"] == {"conjecture": "k2", "n": 6}
 
     _, out, _ = run_cli(
-        capsys, "verify", "tree2", "-d", "3", "-K", "3", "--samples", "5"
+        capsys, "verify", "tree2", "-d", "5", "-K", "2", "--samples", "5"
     )
     assert json.loads(out)["parameters"] == {
         "conjecture": "tree2",
-        "d": 3,
-        "K": 3,
-        "exhaustive": False,
+        "d": 5,
+        "K": 2,
         "samples": 5,
         "seed": 0,
     }
@@ -229,7 +243,6 @@ def test_verify_echoes_only_the_options_it_reads(capsys):
         "conjecture": "tree2",
         "d": 3,
         "K": 2,
-        "exhaustive": False,
     }
 
 
@@ -277,6 +290,17 @@ def test_timing_flag(capsys):
     assert "wall_time" in json.loads(out)
     _, out, _ = run_cli(capsys, "lambda2", "Ch", "--format", "csv", "--timing")
     assert out.split("\n")[0].endswith("wall_time")
+    # the wall time on the first row, an empty cell on every later one
+    code, out, _ = run_cli(capsys, "augment", "-n", "4", "-m", "3", "--timing")
+    assert code == 0
+    header, *rows = out.strip("\n").split("\n")
+    assert header == "step,i,j,lambda2,wall_time"
+    cells = [row.split(",") for row in rows]
+    assert [c[:4] for c in cells] == [
+        ["1", "0", "1", "0"], ["2", "0", "2", "0"], ["3", "0", "3", "1"]
+    ]
+    assert float(cells[0][4]) >= 0
+    assert [c[4:] for c in cells[1:]] == [[""], [""]]
 
 
 def test_timing_on_empty_table(capsys):
@@ -313,6 +337,7 @@ def test_usage_errors_exit_1(capsys):
         ["verify", "bogus"],
         ["verify", "k2", "-n", "6", "--samples", "5"],
         ["verify", "cubic", "-K", "2", "--seed", "1"],
+        ["verify", "tree2", "-d", "3", "-K", "3", "--exhaustive"],
         ["enumerate", "cubic", "-n", "14", "-d", "3"],
         ["enumerate", "trees", "-n", "6", "-m", "5"],
         # disconnected: one message whatever lambda2's float noise
@@ -347,6 +372,41 @@ def _readme_examples():
     return lines
 
 
+# the option strings of every sub-command, positionals by name
+_SHARED = ("--format", "--timing", "--threads")
+_OPTIONS = {
+    "lambda2": ("source", "--vector"),
+    "bounds": ("source",),
+    "tree-split": ("source",),
+    "enumerate trees": ("-n", "-d", "--max-lambda2"),
+    "enumerate cubic": ("-n", "--max-lambda2"),
+    "enumerate graphs": ("-n", "-m", "--min-degree", "--max-lambda2"),
+    "verify k2": ("-n",),
+    "verify tree2": ("-d", "-K", "--samples", "--seed"),
+    "verify cubic": ("-K",),
+    "augment": ("-n", "-m"),
+    "compare": ("-n", "--m-list"),
+    "consensus": ("source", "--seed", "--t-end", "--dt"),
+}
+
+
+def _option_inventory(parser, prefix=()):
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        options = [a.option_strings or [a.dest] for a in parser._actions]
+        return {" ".join(prefix): sum(options, [])}
+    table = {}
+    for name, sub in subs[0].choices.items():
+        table.update(_option_inventory(sub, (*prefix, name)))
+    return table
+
+
+def test_option_inventory():
+    # an option added or removed shows up here
+    table = {cmd: ["-h", "--help", *_SHARED, *own] for cmd, own in _OPTIONS.items()}
+    assert _option_inventory(_build_parser()) == table
+
+
 def test_readme_examples_parse():
     examples = _readme_examples()
     assert len(examples) == 12
@@ -358,7 +418,7 @@ def test_readme_examples_parse():
 
 def test_stdout_deterministic(capsys):
     runs = [
-        run_cli(capsys, "verify", "tree2", "-d", "3", "-K", "3", "--samples", "5")[1]
+        run_cli(capsys, "verify", "tree2", "-d", "5", "-K", "2", "--samples", "5")[1]
         for _ in range(2)
     ]
     assert runs[0] == runs[1]

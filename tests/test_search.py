@@ -20,6 +20,7 @@ from algconn.families import (
     star,
 )
 from algconn.graphs import (
+    CANON_MAX_VERTICES,
     Graph,
     _decode_key,
     canonical_form,
@@ -33,6 +34,7 @@ from algconn.graphs import (
 )
 from algconn.search import (
     MAX_THREADS,
+    TREE_MAX_N,
     ConjectureReport,
     _min_tree_height,
     _sweep,
@@ -504,8 +506,10 @@ def test_verify_k2_exhaustive_small():
         assert isinstance(rep, ConjectureReport)
         assert rep.exhaustive and rep.passed
         assert rep.params["m"] == 2 * (n - 2)
-    with pytest.raises(ValueError):
-        verify_conjecture_k2(4)
+    # the range ends where the graph family does
+    for n in (4, 11):
+        with pytest.raises(ValueError, match=r"^supported range is 5 <= n <= 10$"):
+            verify_conjecture_k2(n)
 
 
 def test_verify_k2_exhaustive_n10():
@@ -528,27 +532,64 @@ def test_verify_tree2_exhaustive():
     assert rep.exhaustive and rep.passed
     assert rep.checked == 37
     assert len(rep.witnesses) == 1
-    # exhaustive on request where the default samples: the 6 trees of the star
-    rep = verify_conjecture_tree2(5, 1, exhaustive=True)
+    # the 6 trees of the star's size
+    rep = verify_conjecture_tree2(5, 1)
     assert rep.exhaustive and rep.passed
     assert rep.checked == 6
 
 
+# every (d, K) whose balanced tree has n <= TREE_MAX_N, less (3, 3): criterion 6
+# sweeps its 254,371 trees and tests/test_cli.py checks its verdict
+_ENUMERABLE = [(d, 1) for d in range(3, 24)] + [(3, 2), (4, 2)]
+
+
+@pytest.mark.parametrize("d, K", _ENUMERABLE)
+def test_verify_tree2_exhaustive_wherever_enumerable(d, K):
+    rep = verify_conjecture_tree2(d, K)
+    assert rep.exhaustive and rep.passed
+    assert rep.checked == count_trees(rep.params["n"], d)
+
+
 def test_verify_tree2_sampled():
-    rep = verify_conjecture_tree2(3, 3, samples=25, seed=3)
-    assert not rep.exhaustive
-    assert rep.passed
-    assert "sampled" in rep.detail
+    # the smallest balanced trees past n = 24, at K = 2 and K = 1
+    for d, K, n in ((5, 2, 26), (24, 1, 25)):
+        rep = verify_conjecture_tree2(d, K, samples=25, seed=3)
+        assert rep.params == {"d": d, "K": K, "n": n, "samples": 25, "seed": 3}
+        assert not rep.exhaustive
+        assert rep.passed and rep.checked == 25
+        assert "sampled" in rep.detail
+
+
+def test_verify_tree2_mode_follows_the_family_size():
+    # every (d, K) with a report: the balanced tree builds and has a canonical
+    # form; the enumerable ones are swept above, the rest sample
+    enumerable = []
+    for K in itertools.count(1):
+        if bethe_tree(3, K).n > CANON_MAX_VERTICES:
+            break
+        for d in itertools.count(3):
+            n = bethe_tree(d, K).n
+            if n > CANON_MAX_VERTICES:
+                # the first size past the limit is rejected before any solve
+                with pytest.raises(ValueError, match="canonical forms"):
+                    verify_conjecture_tree2(d, K, samples=1)
+                break
+            if n <= TREE_MAX_N:
+                enumerable.append((d, K))
+                continue
+            rep = verify_conjecture_tree2(d, K, samples=1)
+            assert not rep.exhaustive and rep.checked == 1 and rep.passed
+    assert sorted(enumerable) == sorted([*_ENUMERABLE, (3, 3)])
 
 
 def test_sampled_checks_need_a_sample():
     for samples in (0, -5):
         with pytest.raises(ValueError, match="samples must be >= 1"):
-            verify_conjecture_tree2(3, 3, samples=samples)
+            verify_conjecture_tree2(5, 2, samples=samples)
         # an exhaustive run rejects it too
         with pytest.raises(ValueError, match="samples must be >= 1"):
             verify_conjecture_tree2(3, 2, samples=samples)
-    assert verify_conjecture_tree2(3, 3, exhaustive=False, samples=1).checked == 1
+    assert verify_conjecture_tree2(5, 2, samples=1).checked == 1
 
 
 def test_verify_cubic_k2():
@@ -557,8 +598,11 @@ def test_verify_cubic_k2():
     assert rep.checked == 2
     assert len(rep.witnesses) == 1
     assert girth(graph6_decode(rep.witnesses[0])) == 4
-    with pytest.raises(ValueError):
-        verify_conjecture_cubic(4)
+    # the levels end where the cubic family does
+    message = r"^supported levels are K = 2 and K = 3 \(n <= 14\)$"
+    for K in (1, 4):
+        with pytest.raises(ValueError, match=message):
+            verify_conjecture_cubic(K)
 
 
 # ---------------------------------------------------------------------------
