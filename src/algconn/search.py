@@ -12,7 +12,12 @@ relabeled adjacency, so one canonical labeling per candidate both
 deduplicates the state and gives the rows it is expanded from, and each
 isomorphism class of partial states is expanded once.  Final keys have
 all-zero colours and fixed-width big-endian rows, so sorting them sorts the
-graphs by their canonical rows, across degree sequences too.
+graphs by their canonical rows, across degree sequences too.  Two exact cuts
+skip labelings whose outcome is known (McKay & Piperno, "Practical graph
+isomorphism, II", 2014): partner sets that differ only by a swap of twin
+vertices are tried once, and a finished regular graph is first labeled with
+a cheap vertex invariant as colours, so only a new graph pays for the
+labeling from one cell.  Neither changes a stream.
 
 One sweep serves every check: the maximizer, the exhaustive conjecture
 checks, the sampled tree check and the cubic attainment check all take their
@@ -47,6 +52,7 @@ from . import _kernels
 from .bounds import ATTAINED_TOL, _path_bound, tk_bound
 from .families import bethe_tree, complete_bipartite, random_tree
 from .graphs import (
+    CANON_MAX_VERTICES,
     Graph,
     _canonical_graph,
     _components,
@@ -55,13 +61,16 @@ from .graphs import (
     graph6_encode,
 )
 from .spectral import algebraic_connectivity, batched_lambda2, laplacian_stack
-from .treetools import is_well_balanced
+from .treetools import canonical_tree, is_well_balanced
 
 TREE_MAX_N = 24
 CUBIC_MAX_N = 14
 GRAPH_MAX_N = 10
 
 _CHUNK = 1024
+# a chunk's Laplacians hold at most this many entries, those of 1,024 graphs
+# on 64 vertices (32 MiB); graphs past 64 vertices come fewer to a chunk
+_CHUNK_ENTRIES = _CHUNK * 64 * 64
 
 # draws of a sampled conjecture check, for the library and the CLI alike
 DEFAULT_SAMPLES = 200
@@ -181,6 +190,45 @@ def _state_viable(n: int, rows, caps) -> bool:
     )
 
 
+def _twin_predecessors(rows, caps, vertices) -> dict:
+    # each vertex's predecessor in its twin class among ``vertices``: twins
+    # have equal caps and equal rows apart from each other, so swapping two
+    # of them is an automorphism of the coloured state
+    before = {}
+    latest = []  # the last member of each class so far
+    for v in vertices:
+        for k, w in enumerate(latest):
+            if caps[w] == caps[v] and rows[w] & ~(1 << v) == rows[v] & ~(1 << w):
+                before[v] = w
+                latest[k] = v
+                break
+        else:
+            latest.append(v)
+    return before
+
+
+def _local_colours(n: int, rows) -> tuple[int, ...]:
+    # each vertex's rank, from 1, by the size of its radius-2 ball and the
+    # triangles through it (each counted twice), both from one pass over
+    # its neighbours: a label-free invariant.  Rank 0 is left out, so no
+    # such key is ever a final's key
+    inv = []
+    for v in range(n):
+        row = rows[v]
+        ball = row | (1 << v)
+        triangles = 0
+        rest = row
+        while rest:
+            low = rest & -rest
+            w = rows[low.bit_length() - 1]
+            ball |= w
+            triangles += (w & row).bit_count()
+            rest ^= low
+        inv.append((ball.bit_count(), triangles))
+    rank = {x: k for k, x in enumerate(sorted(set(inv)), 1)}
+    return tuple(rank[x] for x in inv)
+
+
 def _enumerate_by_degrees(
     n: int, sequences: Iterable[tuple[int, ...]]
 ) -> Iterator[Graph]:
@@ -198,11 +246,24 @@ def _enumerate_by_degrees(
     colours equal the canonical labeling is that of the uncoloured graph,
     so the keys of different degree sequences sort together by canonical
     rows.  Each sequence has its own ``seen`` set.
+
+    Two cuts skip labelings whose result is known, and change no stream.
+    Twin partners (equal caps, equal rows apart from each other) may be
+    swapped by an automorphism that fixes the closed vertex, so a partner
+    set is tried only when it takes a prefix of each twin class: the
+    lexicographically first set of its orbit, which is the one the full
+    loop would have kept, so the kept children come in the same order.  And
+    for a regular sequence a final child is first labeled with
+    ``_local_colours`` as colours, which starts refinement from a finer
+    partition than one cell; equal keys of that kind mean isomorphic
+    graphs, so only a new one gets the uncoloured labeling of the final.
     """
     finals = []
     for degrees in sequences:
+        regular = min(degrees) == max(degrees)
         start = _kernels.canon_key(n, (0,) * n, degrees)
         seen = {start}
+        known = set()  # the invariant-coloured keys of the regular finals
         stack = [start]
         while stack:
             key = stack.pop()
@@ -214,7 +275,10 @@ def _enumerate_by_degrees(
                 finals.append(key)
                 continue
             open_others = [v for v in range(u + 1, n) if not (rows[u] >> v) & 1]
+            before = _twin_predecessors(rows, caps, open_others)
             for partners in itertools.combinations(open_others, caps[u]):
+                if before and any(before.get(p, p) not in partners for p in partners):
+                    continue
                 new_rows = list(rows)
                 new_caps = list(caps)
                 for p in partners:
@@ -223,6 +287,12 @@ def _enumerate_by_degrees(
                     new_caps[p] -= 1
                 new_caps[u] = 0
                 if not _state_viable(n, new_rows, new_caps):
+                    continue
+                if regular and not any(new_caps):
+                    pre = _kernels.canon_key(n, new_rows, _local_colours(n, new_rows))
+                    if pre not in known:
+                        known.add(pre)
+                        finals.append(_kernels.canon_key(n, new_rows, (0,) * n))
                     continue
                 child = _kernels.canon_key(n, new_rows, new_caps)
                 if child not in seen:
@@ -289,14 +359,25 @@ def _sweep(
 ) -> Iterator[tuple[float, Graph]]:
     """(lambda2, graph) for every graph of the family, in family order.
 
-    Graphs are solved in fixed-size chunks through the batched eigensolver,
-    one stacked solve per vertex count in a chunk.  Chunks may be solved on
+    Graphs are solved in chunks through the batched eigensolver, one
+    stacked solve per vertex count in a chunk; a chunk ends at ``_CHUNK``
+    graphs or ``_CHUNK_ENTRIES`` Laplacian entries.  Chunks may be solved on
     worker threads, as many as ``resolve_threads(threads)`` gives; at most
     one more chunk than that is in flight at once, so the family is never
     held in memory whole, and results come back in submission order.
     """
     threads = resolve_threads(threads)
-    it = iter(family)
+
+    def chunks():
+        block, entries = [], 0
+        for g in family:
+            block.append(g)
+            entries += g.n * g.n
+            if len(block) == _CHUNK or entries >= _CHUNK_ENTRIES:
+                yield block
+                block, entries = [], 0
+        if block:
+            yield block
 
     def solve(block):
         if any(g.n < 2 for g in block):
@@ -314,7 +395,7 @@ def _sweep(
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
         pending = deque()
-        while block := list(itertools.islice(it, _CHUNK)):
+        for block in chunks():
             pending.append(pool.submit(solve, block))
             if len(pending) > threads:
                 yield from pending.popleft().result()
@@ -460,6 +541,13 @@ def verify_conjecture_k2(n: int, threads: Optional[int] = None) -> ConjectureRep
     )
 
 
+def _tree_g6(t: Graph) -> str:
+    # canonical graph6 of a tree of any size the families build
+    if t.n > CANON_MAX_VERTICES:
+        return graph6_encode(canonical_tree(t))
+    return graph6_encode(_canonical_graph(t))
+
+
 def verify_conjecture_tree2(
     d: int,
     K: int,
@@ -473,15 +561,15 @@ def verify_conjecture_tree2(
     Exhaustive wherever the tree family is enumerable (n <= TREE_MAX_N:
     the stars up to d = 23, and (d, K) = (3, 2), (4, 2) and (3, 3), the
     last over 254,371 trees); past it, a seeded sample of ``samples``
-    random trees, up to the 64 vertices of a canonical form.  ``samples``
-    must be at least 1 in either mode.
+    random trees.  ``samples`` must be at least 1 in either mode.  The
+    witnesses are canonical graph6, past ``CANON_MAX_VERTICES`` in the
+    centre-rooted order of ``canonical_tree``.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     ref = bethe_tree(d, K)
     n = ref.n
-    # past the canonical-form limit this raises before any eigensolve
-    ref_g6 = graph6_encode(_canonical_graph(ref))
+    ref_g6 = _tree_g6(ref)
     ref_val = algebraic_connectivity(ref)
     params = {"d": d, "K": K, "n": n}
     exhaustive = n <= TREE_MAX_N
@@ -506,7 +594,7 @@ def verify_conjecture_tree2(
             checked += 1
             top = max(top, val)
             if val > ref_val + _TIE_TOL:
-                bad.add(graph6_encode(_canonical_graph(g)))
+                bad.add(_tree_g6(g))
         witnesses = tuple(sorted(bad)) or (ref_g6,)
         passed = not bad
         detail = (

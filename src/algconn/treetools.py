@@ -6,6 +6,8 @@ its modified eigenvalue, and the larger of the two quotients bounds the
 connectivity of the whole tree.  That composition is what turns the local
 branch estimates into the global tree bound.  The vertex is the tree's
 centroid, and one rooted pass gives the components of every vertex removal.
+``canonical_tree`` gives a tree a canonical order of any size, for the tree
+check's witnesses past the labeling kernels' 64 vertices.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bounds import lamtilde_test_vector
-from .graphs import Graph, _bits, is_tree, max_degree
+from .graphs import Graph, _bits, is_tree, max_degree, permute
 from .spectral import modified_rayleigh_quotient
 
 
@@ -46,6 +48,58 @@ def _branches(t: Graph) -> list[list[tuple[int, int]]]:
     for v in order[1:]:
         branches[v].append((((1 << t.n) - 1) ^ sub[v], parent[v]))
     return branches
+
+
+def canonical_tree(t: Graph) -> Graph:
+    """t relabeled in preorder from a centre, children in the order of
+    their AHU codes (Aho, Hopcroft & Ullman, 1974), so isomorphic trees
+    give equal graphs; a bicentral tree takes the rooting with the smaller
+    code.  Unlike ``canonical_form`` it has no vertex limit.
+    """
+    if not is_tree(t):
+        raise ValueError("canonical_tree is defined for trees")
+    n = t.n
+    deg = [row.bit_count() for row in t.rows]
+    layer = [v for v in range(n) if deg[v] <= 1]
+    left = n
+    while left > 2:  # peel the leaves until the centre or bicentre is left
+        left -= len(layer)
+        peeled = []
+        for v in layer:
+            for w in _bits(t.rows[v]):
+                deg[w] -= 1
+                if deg[w] == 1:
+                    peeled.append(w)
+        layer = peeled
+    best = None
+    for root in layer:
+        parent = [-1] * n
+        order = [root]
+        for v in order:
+            for w in _bits(t.rows[v]):
+                if w != parent[v]:
+                    parent[w] = v
+                    order.append(w)
+        code = [""] * n
+        kids = [[] for _ in range(n)]
+        for v in reversed(order):  # children before parents
+            kids[v].sort(key=code.__getitem__)
+            code[v] = "(" + "".join(code[w] for w in kids[v]) + ")"
+            if v != root:
+                kids[parent[v]].append(v)
+        if best is None or code[root] < best[0]:
+            best = (code[root], root, kids)
+    _, root, kids = best
+    pre = []
+    stack = [root]
+    while stack:
+        v = stack.pop()
+        pre.append(v)
+        stack.extend(reversed(kids[v]))
+    perm = [0] * n
+    for k, v in enumerate(pre):
+        perm[v] = k
+    return permute(t, perm)
 
 
 def find_splitting_vertex(t: Graph) -> SplitResult:

@@ -61,6 +61,57 @@ def eigenvalues_below():
     return _laplacian_eigenvalues_below
 
 
+def _unpruned_by_degrees(n, sequences, expanded):
+    """The degree-sequence generator with neither of its labeling cuts.
+
+    Every viable partner set is labeled, twins included, and every final
+    child is labeled with its all-zero capacities, pushed and popped like
+    any state.  Each non-final key it expands is appended to ``expanded``;
+    the return value is the sorted family.  It calls ``_kernels.canon_key``
+    at run time, so a patched kernel sees its inputs.
+    """
+    import itertools
+
+    from algconn import _kernels, search
+    from algconn.graphs import Graph, _decode_key
+
+    finals = []
+    for degrees in sequences:
+        start = _kernels.canon_key(n, (0,) * n, degrees)
+        seen = {start}
+        stack = [start]
+        while stack:
+            key = stack.pop()
+            rows, caps = _decode_key(key)
+            u = caps.count(0)
+            if u == n:
+                finals.append(key)
+                continue
+            expanded.append(key)
+            open_others = [v for v in range(u + 1, n) if not (rows[u] >> v) & 1]
+            for partners in itertools.combinations(open_others, caps[u]):
+                new_rows = list(rows)
+                new_caps = list(caps)
+                for p in partners:
+                    new_rows[u] |= 1 << p
+                    new_rows[p] |= 1 << u
+                    new_caps[p] -= 1
+                new_caps[u] = 0
+                if not search._state_viable(n, new_rows, new_caps):
+                    continue
+                child = _kernels.canon_key(n, new_rows, new_caps)
+                if child not in seen:
+                    seen.add(child)
+                    stack.append(child)
+    return [Graph(n, _decode_key(key)[0]) for key in sorted(finals)]
+
+
+@pytest.fixture(scope="session")
+def unpruned_by_degrees():
+    """The reference generator loop: ``f(n, sequences, expanded)``."""
+    return _unpruned_by_degrees
+
+
 @pytest.fixture
 def package_pythonpath():
     """PYTHONPATH for a subprocess: the imported package's directory first."""

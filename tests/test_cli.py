@@ -189,6 +189,14 @@ def test_verify_exit_codes(capsys):
     rec = json.loads(out)
     assert rec["results"]["passed"] is True and not rec["results"]["exhaustive"]
 
+    # past the 64 vertices of a canonical form (n = 94) it still samples
+    code, out, _ = run_cli(
+        capsys, "verify", "tree2", "-d", "3", "-K", "5", "--samples", "5"
+    )
+    assert code == 3
+    rec = json.loads(out)
+    assert rec["results"]["passed"] is True and rec["results"]["params"]["n"] == 94
+
     code, _, _ = run_cli(capsys, "verify", "tree2", "-d", "3", "-K", "2")
     assert code == 0
 

@@ -86,23 +86,36 @@ def _star(n):
 
 
 @pytest.fixture(scope="module")
-def generator_inputs():
-    # every canon_key input of two generator runs: partial states coloured
-    # by remaining capacity, the input the graph searches send
+def generator_inputs(unpruned_by_degrees):
+    # every canon_key input of two generator runs, first through the loop
+    # without twin pruning, which labels the symmetric partial states the
+    # generator skips, then through the generator, which adds its finals
+    # coloured by the local invariant: partial states coloured by remaining
+    # capacity, the input the graph searches send
     from algconn import _kernels, search
 
-    calls = []
+    calls = {}
     real = _kernels.canon_key
 
     def record(n, rows, colors=None):
-        calls.append((n, tuple(rows), colors if colors is None else tuple(colors)))
+        calls[(n, tuple(rows), colors if colors is None else tuple(colors))] = None
         return real(n, rows, colors)
+
+    def runs():
+        list(search.enumerate_cubic(10))
+        list(search.enumerate_graphs(8, 12, 2))
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_kernels, "canon_key", record)
-        list(search.enumerate_cubic(10))
-        list(search.enumerate_graphs(8, 12, 2))
-    return calls
+        with pytest.MonkeyPatch.context() as unpruned:
+            unpruned.setattr(
+                search,
+                "_enumerate_by_degrees",
+                lambda n, sequences: unpruned_by_degrees(n, sequences, []),
+            )
+            runs()
+        runs()
+    return list(calls)
 
 
 def test_canon_agrees_on_random_graphs(sp):
@@ -218,6 +231,12 @@ GOLDEN_STREAMS = [
      "26ec8f225fcb555cf830bb069bf67ffb964e2b46bc623feae502ade380d36309"),
     ("enumerate_graphs", (8, 12, 2), 513,
      "b697dfa050a396d92a7d3bebf103929a74b2c3ac06eff60431eebc90f0c1d02b"),
+    # families with a regular sequence among mixed ones: (2,)*7, whose one
+    # graph is C_7, and (3,)*8
+    ("enumerate_graphs", (7, 7, 0), 33,
+     "cbdf5ec98ca533cf93277005d9a0810d090e1b9b3b6be1707f705576f624a121"),
+    ("enumerate_graphs", (8, 12, 0), 1169,
+     "994e4eb1c1a8a2720ebca1be39fe1d3c6a716ca41d4238ee0a819aaf077b74ed"),
 ]
 
 

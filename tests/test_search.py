@@ -22,6 +22,7 @@ from algconn.families import (
 from algconn.graphs import (
     CANON_MAX_VERTICES,
     Graph,
+    _canonical_graph,
     _decode_key,
     canonical_form,
     canonical_key,
@@ -50,6 +51,7 @@ from algconn.search import (
     verify_conjecture_tree2,
 )
 from algconn.spectral import algebraic_connectivity
+from algconn.treetools import canonical_tree
 
 # ---------------------------------------------------------------------------
 # oracles
@@ -278,10 +280,60 @@ def test_cubic_includes_named_graphs():
 
 
 def test_cubic_enumeration_work_bound(monkeypatch):
-    # one labeling per distinct partial state: 2,625 for the 85 graphs
+    # one labeling per viable child that is not a twin copy, and two for a
+    # new final: 1,744 for the 85 graphs (2,625 with neither cut)
     calls = _count_labelings(monkeypatch)
     assert sum(1 for _ in enumerate_cubic(12)) == 85
-    assert calls["labelings"] <= 2625
+    assert calls["labelings"] <= 1744
+
+
+def test_regular_family_labels_each_graph_once_uncoloured(monkeypatch):
+    calls = []
+    real = _kernels.canon_key
+
+    def record(n, rows, colors=None):
+        calls.append(colors)
+        return real(n, rows, colors)
+
+    monkeypatch.setattr(_kernels, "canon_key", record)
+    assert sum(1 for _ in enumerate_cubic(12)) == 85
+    assert sum(1 for c in calls if not any(c)) == 85
+
+
+_GENERATOR_FAMILIES = [(enumerate_cubic, (n,)) for n in (4, 6, 8, 10, 12)] + [
+    (enumerate_graphs, args) for args in ((7, 7, 0), (8, 12, 0), (8, 12, 2))
+]
+
+
+@pytest.mark.parametrize("family, args", _GENERATOR_FAMILIES)
+def test_generator_expands_as_the_unpruned_loop(
+    monkeypatch, unpruned_by_degrees, family, args
+):
+    # the twin cut and the final pre-keys skip only labelings: the same
+    # non-final states are expanded in the same order, and the same finals
+    # come out
+    expanded = []
+    real = search._decode_key
+
+    def record(key):
+        rows, caps = real(key)
+        if any(caps):
+            expanded.append(key)
+        return rows, caps
+
+    with monkeypatch.context() as mp:
+        mp.setattr(search, "_decode_key", record)
+        got = list(family(*args))
+    want_expanded = []
+    with monkeypatch.context() as mp:
+        mp.setattr(
+            search,
+            "_enumerate_by_degrees",
+            lambda n, sequences: unpruned_by_degrees(n, sequences, want_expanded),
+        )
+        want = list(family(*args))
+    assert expanded == want_expanded
+    assert got == want
 
 
 def test_cubic_rejects_bad_n():
@@ -309,8 +361,7 @@ def test_graph_counts_match_bitmask_oracle():
 
 
 def _count_labelings(monkeypatch):
-    # the generator's canon_key calls, one per distinct partial state, on
-    # the pure kernel
+    # the generator's canon_key calls on the pure kernel
     calls = {"labelings": 0}
 
     def counted(*args):
@@ -322,14 +373,15 @@ def _count_labelings(monkeypatch):
 
 
 def test_graph_enumeration_work_bound(monkeypatch):
-    # one labeling per distinct partial state (5,757 calls here, a bound
-    # that a generator expanding more states breaks); labeling every
-    # candidate edge of every partial graph takes 66 per graph
+    # one labeling per viable child that is not a twin copy (4,514 calls
+    # here, 5,757 without the twin cut: a bound that a generator expanding
+    # more states breaks); labeling every candidate edge of every partial
+    # graph takes 66 per graph
     calls = _count_labelings(monkeypatch)
     graphs = sum(1 for _ in enumerate_graphs(8, 12, 2))
     assert graphs == 513
     assert calls["labelings"] <= 16 * graphs
-    assert calls["labelings"] <= 5757
+    assert calls["labelings"] <= 4514
 
 
 def test_graph_enumeration_contains_expected_members():
@@ -473,6 +525,30 @@ def test_sweep_matches_per_graph_solve_in_family_order():
         list(_sweep([path(3), Graph(1, [0])], 1))
 
 
+def test_sweep_chunks_bound_the_laplacian_entries(monkeypatch):
+    # 1,024 graphs of up to 64 vertices to a chunk, fewer past that: the
+    # second chunk ends with 6 paths on 64 vertices and 417 on 100, whose
+    # entries pass 64 * 64 * 1,024
+    sizes = []
+    real = search.laplacian_stack
+
+    def record(graphs):
+        sizes.append((len(graphs), graphs[0].n))
+        return real(graphs)
+
+    monkeypatch.setattr(search, "laplacian_stack", record)
+    list(_sweep([path(64)] * 1030 + [path(100)] * 500, 1))
+    assert sizes == [(1024, 64), (6, 64), (417, 100), (83, 100)]
+
+
+def test_twin_predecessors_point_back_within_each_class():
+    # 1 and 3 are twins (both joined to 0 only), 2 is not; 4 and 5 are
+    # adjacent twins, and 6 has their rows but a different cap
+    rows = [0b1010, 0b1, 0b0, 0b1, 0b1100000, 0b1010000, 0b110000]
+    caps = [0, 1, 1, 1, 2, 2, 3]
+    assert search._twin_predecessors(rows, caps, range(1, 7)) == {3: 1, 5: 4}
+
+
 def test_resolve_threads_default(monkeypatch):
     assert resolve_threads(None) == min(os.cpu_count() or 1, MAX_THREADS)
     assert resolve_threads(4) == 4
@@ -561,8 +637,8 @@ def test_verify_tree2_sampled():
 
 
 def test_verify_tree2_mode_follows_the_family_size():
-    # every (d, K) with a report: the balanced tree builds and has a canonical
-    # form; the enumerable ones are swept above, the rest sample
+    # every (d, K) whose balanced tree has a canonical form: the enumerable
+    # ones are swept above, the rest sample
     enumerable = []
     for K in itertools.count(1):
         if bethe_tree(3, K).n > CANON_MAX_VERTICES:
@@ -570,9 +646,13 @@ def test_verify_tree2_mode_follows_the_family_size():
         for d in itertools.count(3):
             n = bethe_tree(d, K).n
             if n > CANON_MAX_VERTICES:
-                # the first size past the limit is rejected before any solve
-                with pytest.raises(ValueError, match="canonical forms"):
-                    verify_conjecture_tree2(d, K, samples=1)
+                # the first size past the limit samples too, and its witness
+                # is graph6 in the centre-rooted tree order
+                rep = verify_conjecture_tree2(d, K, samples=1)
+                assert not rep.exhaustive and rep.checked == 1 and rep.passed
+                assert rep.witnesses == (
+                    graph6_encode(canonical_tree(bethe_tree(d, K))),
+                )
                 break
             if n <= TREE_MAX_N:
                 enumerable.append((d, K))
@@ -580,6 +660,16 @@ def test_verify_tree2_mode_follows_the_family_size():
             rep = verify_conjecture_tree2(d, K, samples=1)
             assert not rep.exhaustive and rep.checked == 1 and rep.passed
     assert sorted(enumerable) == sorted([*_ENUMERABLE, (3, 3)])
+
+
+def test_verify_tree2_samples_past_the_canonical_form_limit():
+    # n = 94; at n <= 64 the witness strings are those of canonical_form
+    rep = verify_conjecture_tree2(3, 5, samples=20, seed=4)
+    assert rep.params["n"] == 94
+    assert not rep.exhaustive and rep.passed and rep.checked == 20
+    assert rep.witnesses == (graph6_encode(canonical_tree(bethe_tree(3, 5))),)
+    rep = verify_conjecture_tree2(3, 4, samples=1)
+    assert rep.witnesses == (graph6_encode(_canonical_graph(bethe_tree(3, 4))),)
 
 
 def test_sampled_checks_need_a_sample():

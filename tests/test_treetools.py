@@ -7,11 +7,19 @@ from fractions import Fraction
 import pytest
 
 from algconn.families import bethe_tree, double_binary_tree, path, random_tree, star
-from algconn.graphs import _components, from_edges, max_degree, permute
+from algconn.graphs import (
+    _canonical_graph,
+    _components,
+    from_edges,
+    graph6_encode,
+    max_degree,
+    permute,
+)
 from algconn.spectral import algebraic_connectivity
 from algconn.treetools import (
     SplitResult,
     _branches,
+    canonical_tree,
     find_splitting_vertex,
     is_well_balanced,
     split_component_floor,
@@ -135,3 +143,28 @@ def test_bethe_balanced_but_doubled_tree_is_not():
     for K in (2, 3, 4):
         assert is_well_balanced(bethe_tree(3, K))
         assert not is_well_balanced(double_binary_tree(K))
+
+
+def test_canonical_tree_is_a_canonical_form():
+    # relabelings agree, and on trees within the kernels' limit the tree
+    # order separates exactly the classes that canonical_form separates
+    rng = random.Random(8)
+    classes = {}
+    for trial in range(1500):
+        n = rng.randint(1, 12)
+        t = random_tree(n, rng.choice([2, 3, 4]), rng.randrange(10**9))
+        perm = list(range(n))
+        rng.shuffle(perm)
+        c = canonical_tree(t)
+        assert canonical_tree(permute(t, perm)) == c
+        assert sorted(map(c.degree, range(n))) == sorted(map(t.degree, range(n)))
+        classes.setdefault(graph6_encode(_canonical_graph(t)), set()).add(c)
+    assert all(len(forms) == 1 for forms in classes.values())
+    assert len({next(iter(f)) for f in classes.values()}) == len(classes)
+    # past 64 vertices: a bicentral path and a balanced tree on 94
+    for t in (path(100), bethe_tree(3, 5)):
+        perm = list(range(t.n))
+        rng.shuffle(perm)
+        assert canonical_tree(permute(t, perm)) == canonical_tree(t)
+    with pytest.raises(ValueError):
+        canonical_tree(from_edges(3, [(0, 1), (1, 2), (0, 2)]))
