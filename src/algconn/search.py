@@ -5,7 +5,10 @@ sequences; ``count_trees`` counts them with Otter's recurrence instead of
 that walk.  Cubic graphs and fixed-edge-count graphs come from one
 generator that closes one vertex at a time against a degree sequence: the
 cubic family is the sequence (3,)*n, and a fixed-edge-count family is the
-union over every degree sequence the edge count and degree floor allow.  A
+union over every degree sequence the edge count and degree floor allow.
+Like Havel-Hakimi realization (Hakimi, J. SIAM 10, 1962), it closes the
+open vertex of largest degree first, which reaches about half as many
+partial states as closing the one with the fewest edges left to place.  A
 partial state is held as its canonical key (``canon_key`` bytes, with the
 remaining-capacity counts as colours): the key's tail is the canonically
 relabeled adjacency, so one canonical labeling per candidate both
@@ -236,27 +239,36 @@ def _enumerate_by_degrees(
     and sorted by canonical rows.
 
     Partial states carry a per-vertex remaining-degree count; expanding a
-    state closes its first open vertex against every viable set of partners.
+    state closes one open vertex u against every viable set of partners.
     A state is its canon_key with the capacity counts as colours: the key's
     colour bytes are the canonical capacities and its tail the canonical
     rows, so isomorphic partials collapse and each final graph appears
     exactly once.  The colours come in ascending order, so the open vertices
-    come last: the first one follows the closed ones, and its partners are
-    the vertices after it.  Finals have all-zero colours, and with all
-    colours equal the canonical labeling is that of the uncoloured graph,
-    so the keys of different degree sequences sort together by canonical
-    rows.  Each sequence has its own ``seen`` set.
+    come last.  u is the open vertex of largest degree in the sequence
+    (remaining capacity plus neighbours), the first in canonical order on
+    ties.  That is a function of the canonical state, so it does not depend
+    on labels.  Closing any one vertex against every viable partner set
+    reaches every completion, so the family does not depend on the choice,
+    only the states on the way do.  u's partners are the other open
+    vertices that are not yet its neighbours, on either side of it.  In a
+    regular sequence every open vertex has the same degree, so u is the
+    first open vertex, the one of smallest remaining capacity.  Finals have
+    all-zero colours, and with all colours equal the canonical labeling is
+    that of the uncoloured graph, so the keys of different degree sequences
+    sort together by canonical rows.  Each sequence has its own ``seen``
+    set.
 
     Two cuts skip labelings whose result is known, and change no stream.
     Twin partners (equal caps, equal rows apart from each other) may be
-    swapped by an automorphism that fixes the closed vertex, so a partner
-    set is tried only when it takes a prefix of each twin class: the
-    lexicographically first set of its orbit, which is the one the full
-    loop would have kept, so the kept children come in the same order.  And
-    for a regular sequence a final child is first labeled with
-    ``_local_colours`` as colours, which starts refinement from a finer
-    partition than one cell; equal keys of that kind mean isomorphic
-    graphs, so only a new one gets the uncoloured labeling of the final.
+    swapped by an automorphism that fixes the closed vertex, since neither
+    twin is u or a neighbour of u.  So a partner set is tried only when it
+    takes a prefix of each twin class: the lexicographically first set of
+    its orbit, which is the one the full loop would have kept, so the kept
+    children come in the same order.  And for a regular sequence a final
+    child is first labeled with ``_local_colours`` as colours, which starts
+    refinement from a finer partition than one cell; equal keys of that
+    kind mean isomorphic graphs, so only a new one gets the uncoloured
+    labeling of the final.
     """
     finals = []
     for degrees in sequences:
@@ -268,13 +280,18 @@ def _enumerate_by_degrees(
         while stack:
             key = stack.pop()
             rows, caps = _decode_key(key)
-            u = caps.count(0)
-            if u == n:
+            first = caps.count(0)
+            if first == n:
                 # connected: a final is a child, and _state_viable lets no
                 # closed component through unless it is the whole graph
                 finals.append(key)
                 continue
-            open_others = [v for v in range(u + 1, n) if not (rows[u] >> v) & 1]
+            # the open vertex of largest degree, the first of them on ties
+            degree = [caps[v] + rows[v].bit_count() for v in range(first, n)]
+            u = first + degree.index(max(degree))
+            open_others = [
+                v for v in range(first, n) if v != u and not (rows[u] >> v) & 1
+            ]
             before = _twin_predecessors(rows, caps, open_others)
             for partners in itertools.combinations(open_others, caps[u]):
                 if before and any(before.get(p, p) not in partners for p in partners):

@@ -64,11 +64,15 @@ def eigenvalues_below():
 def _unpruned_by_degrees(n, sequences, expanded):
     """The degree-sequence generator with neither of its labeling cuts.
 
-    Every viable partner set is labeled, twins included, and every final
-    child is labeled with its all-zero capacities, pushed and popped like
-    any state.  Each non-final key it expands is appended to ``expanded``;
-    the return value is the sorted family.  It calls ``_kernels.canon_key``
-    at run time, so a patched kernel sees its inputs.
+    It closes the same vertex as the generator, written out here on its
+    own: the open vertex whose degree in the sequence (remaining capacity
+    plus neighbours) is largest, the lowest-labeled one on ties.  Every
+    viable partner set among the other open non-neighbours is labeled,
+    twins included, and every final child is labeled with its all-zero
+    capacities, pushed and popped like any state.  Each non-final key it
+    expands is appended to ``expanded``; the return value is the sorted
+    family.  It calls ``_kernels.canon_key`` at run time, so a patched
+    kernel sees its inputs.
     """
     import itertools
 
@@ -83,12 +87,18 @@ def _unpruned_by_degrees(n, sequences, expanded):
         while stack:
             key = stack.pop()
             rows, caps = _decode_key(key)
-            u = caps.count(0)
-            if u == n:
+            u, top = None, 0
+            for v in range(n):
+                degree = caps[v] + bin(rows[v]).count("1")
+                if caps[v] and degree > top:
+                    u, top = v, degree
+            if u is None:
                 finals.append(key)
                 continue
             expanded.append(key)
-            open_others = [v for v in range(u + 1, n) if not (rows[u] >> v) & 1]
+            open_others = [
+                v for v in range(n) if caps[v] and v != u and not (rows[u] >> v) & 1
+            ]
             for partners in itertools.combinations(open_others, caps[u]):
                 new_rows = list(rows)
                 new_caps = list(caps)

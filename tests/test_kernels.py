@@ -237,6 +237,9 @@ GOLDEN_STREAMS = [
      "cbdf5ec98ca533cf93277005d9a0810d090e1b9b3b6be1707f705576f624a121"),
     ("enumerate_graphs", (8, 12, 0), 1169,
      "994e4eb1c1a8a2720ebca1be39fe1d3c6a716ca41d4238ee0a819aaf077b74ed"),
+    # the family of the K_{2,n-2} check at n = 9
+    ("enumerate_graphs", (9, 14, 2), 5553,
+     "a4e8a650c4f6c79ffba600f2b1a74b13e164f5b6f129a7fd6ac967c0cebe3eaf"),
 ]
 
 

@@ -281,7 +281,10 @@ def test_cubic_includes_named_graphs():
 
 def test_cubic_enumeration_work_bound(monkeypatch):
     # one labeling per viable child that is not a twin copy, and two for a
-    # new final: 1,744 for the 85 graphs (2,625 with neither cut)
+    # new final: 1,744 for the 85 graphs (2,625 with neither cut).  The
+    # largest-degree-first order does not move it: in a regular sequence
+    # every open vertex has the same degree, so the first open vertex, the
+    # one of smallest remaining capacity, is closed
     calls = _count_labelings(monkeypatch)
     assert sum(1 for _ in enumerate_cubic(12)) == 85
     assert calls["labelings"] <= 1744
@@ -373,15 +376,21 @@ def _count_labelings(monkeypatch):
 
 
 def test_graph_enumeration_work_bound(monkeypatch):
-    # one labeling per viable child that is not a twin copy (4,514 calls
-    # here, 5,757 without the twin cut: a bound that a generator expanding
-    # more states breaks); labeling every candidate edge of every partial
-    # graph takes 66 per graph
+    # one labeling per viable child that is not a twin copy, closing the
+    # open vertex of largest degree first: 2,481 calls here (3,696 with
+    # neither cut, 4,514 when the vertex of smallest remaining capacity is
+    # closed first), a bound that a generator expanding more states breaks;
+    # labeling every candidate edge of every partial graph takes 66 per graph
     calls = _count_labelings(monkeypatch)
     graphs = sum(1 for _ in enumerate_graphs(8, 12, 2))
     assert graphs == 513
     assert calls["labelings"] <= 16 * graphs
-    assert calls["labelings"] <= 4514
+    assert calls["labelings"] <= 2481
+    # every degree sequence of 8 vertices and 12 edges: 5,859 calls (8,377
+    # with neither cut, 9,522 closing the smallest remaining capacity first)
+    calls["labelings"] = 0
+    assert sum(1 for _ in enumerate_graphs(8, 12, 0)) == 1169
+    assert calls["labelings"] <= 5859
 
 
 def test_graph_enumeration_contains_expected_members():
