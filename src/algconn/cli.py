@@ -8,9 +8,14 @@ CSV), and keeps all diagnostics on stderr.  Floats are printed with 12
 significant digits.  Output is identical across runs and thread counts;
 wall-clock time is only included when ``--timing`` is given.  ``enumerate``
 and ``verify`` have one sub-command per family and per check, each taking
-only the options it reads.  A sub-command's handler returns ``(params,
-results[, exit_code])``; its default ``--format`` is set on the parser, and
-``_emit`` prints the results in the parsed ``--format``.
+only the options it reads.  Every command takes ``--format`` and
+``--timing``.  ``--threads`` sizes the worker pool of a sweep, so only the
+sub-commands that can run one take it (``enumerate``, ``verify k2``,
+``verify tree2``), and ``augment``, which the benchmark runs with it; a
+count outside ``resolve_threads``' range is a parse error.  A sub-command's
+handler returns ``(params, results[, exit_code])``; its default
+``--format`` is set on the parser, and ``_emit`` prints the results in the
+parsed ``--format``.
 
 Exit codes: 0 success (verify: exhaustive PASS), 1 usage (parse errors
 included) or I/O error, 2 verify FAIL, 3 verify PASS from sampling only.
@@ -48,6 +53,7 @@ from .search import (
     enumerate_trees,
     maximize_lambda2,
     maximize_trees,
+    resolve_threads,
     verify_conjecture_cubic,
     verify_conjecture_k2,
     verify_conjecture_tree2,
@@ -126,7 +132,8 @@ def _emit(args, params: dict, results, wall: Optional[float]):
 
 
 def _echo(args, *unread) -> dict:
-    # the parsed options, less those every command shares and those unread
+    # the parsed options, less the output options, the worker count and
+    # those unread
     skip = {"command", "func", "format", "timing", "threads", *unread}
     return {k: v for k, v in vars(args).items() if k not in skip}
 
@@ -260,6 +267,14 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
+def _threads(text: str) -> int:
+    # resolve_threads owns the range, so a bad count is a parse error
+    try:
+        return resolve_threads(int(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="algconn",
@@ -280,7 +295,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--timing", action="store_true", help="include wall time in output"
         )
-        p.add_argument("--threads", type=int, default=None, metavar="N")
         p.set_defaults(func=func)
         return p
 
@@ -314,21 +328,30 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="check a conjecture on a finite family")
     checks = p.add_subparsers(dest="conjecture", required=True)
-    p = command(checks, "k2", "K_(2,n-2) is the maximizer", _cmd_verify)
-    p.add_argument("-n", type=int, default=8, help="vertex count")
-    p = command(checks, "tree2", "the balanced tree is the maximizer", _cmd_verify)
-    p.add_argument("-d", type=int, default=3, help="degree")
-    p.add_argument("-K", type=int, default=2, help="depth")
-    p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
-    p.add_argument("--seed", type=int, default=0)
+    k2 = command(checks, "k2", "K_(2,n-2) is the maximizer", _cmd_verify)
+    k2.add_argument("-n", type=int, default=8, help="vertex count")
+    tree2 = command(
+        checks, "tree2", "the balanced tree is the maximizer", _cmd_verify
+    )
+    tree2.add_argument("-d", type=int, default=3, help="degree")
+    tree2.add_argument("-K", type=int, default=2, help="depth")
+    tree2.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
+    tree2.add_argument("--seed", type=int, default=0)
     p = command(checks, "cubic", "the girth bound is attained once", _cmd_verify)
     p.add_argument("-K", type=int, default=2, help="depth")
 
-    p = command(
+    augment = command(
         sub, "augment", "greedy spectral edge augmentation trace", _cmd_augment, "csv"
     )
-    p.add_argument("-n", type=int, required=True)
-    p.add_argument("-m", type=int, required=True)
+    augment.add_argument("-n", type=int, required=True)
+    augment.add_argument("-m", type=int, required=True)
+
+    # the sweeps' worker count; a plain enumerate stream shares its parser
+    # with --max-lambda2.  augment sizes nothing, but perfbench appends
+    # --threads 1 to every workload, augment-n200 included, until one
+    # benchmark entry point replaces it (ROADMAP item 6)
+    for p in (trees, cubic, graphs, k2, tree2, augment):
+        p.add_argument("--threads", type=_threads, default=None, metavar="N")
 
     p = command(
         sub, "compare", "augmentation vs bipartite vs regular", _cmd_compare, "csv"

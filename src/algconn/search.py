@@ -26,8 +26,10 @@ One sweep serves every check: the maximizer, the exhaustive conjecture
 checks, the sampled tree check and the cubic attainment check all take their
 lambda2 values from ``_sweep``, which solves a family chunk by chunk through
 the batched eigensolver and yields the values in family order.  ``_sweep``
-is also the one place that turns a ``threads`` argument into a worker count
-(``resolve_threads``); every entry point passes its argument on unchanged.
+turns a ``threads`` argument into a worker count through
+``resolve_threads``, and every entry point passes its argument on
+unchanged; the CLI checks ``--threads`` through the same function when it
+parses the option, so the range of a count has one owner.
 Each check's range comes from the limit of the family it enumerates: the
 tree check sweeps exactly where the tree family is enumerable (n <=
 ``TREE_MAX_N``) and samples past it, and the K_{2,n-2} and cubic checks stop

@@ -185,8 +185,8 @@ def consensus_decay_rate(
     u0 = np.asarray(u0, dtype=float)
     if u0.shape != (g.n,):
         raise ValueError("initial state length must equal n")
-    if t_end <= 0 or dt <= 0:
-        raise ValueError("t_end and dt must be positive")
+    if not (0 < t_end < math.inf and 0 < dt < math.inf):
+        raise ValueError("t_end and dt must be positive and finite")
     if not is_connected(g):
         raise ValueError("consensus decay requires a connected graph")
     lam_max_est = 2.0 * max_degree(g)  # Gershgorin bound on the top eigenvalue
@@ -194,13 +194,26 @@ def consensus_decay_rate(
         raise ValueError(
             f"dt={dt} too coarse for stability; need dt <= {0.1 / lam_max_est:.6g}"
         )
+    # a step a thousand times finer than stability needs buys no accuracy,
+    # only Python RK4 steps and one stored norm each
+    if lam_max_est > 0 and dt < 1e-4 / lam_max_est:
+        raise ValueError(
+            f"dt={dt} too fine; need dt >= {1e-4 / lam_max_est:.6g}, "
+            "a thousandth of the stability limit"
+        )
     v = u0 - u0.mean()
     if np.linalg.norm(v) < 1e-300:
         raise ValueError("initial state is already consensus")
-    L = laplacian(g)
     steps = max(4, math.ceil(t_end / dt))
     h = t_end / steps
-    norms = np.empty(steps + 1)
+    try:
+        norms = np.empty(steps + 1)
+        times = np.linspace(0.0, t_end, steps + 1)
+    except MemoryError:
+        raise ValueError(
+            f"t_end / dt asks for {steps:,} RK4 steps, too many to store"
+        ) from None
+    L = laplacian(g)
     norms[0] = np.linalg.norm(v)
     for s in range(steps):
         k1 = -(L @ v)
@@ -209,7 +222,6 @@ def consensus_decay_rate(
         k4 = -(L @ (v + h * k3))
         v = v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         norms[s + 1] = np.linalg.norm(v)
-    times = np.linspace(0.0, t_end, steps + 1)
     sel = times >= 0.5 * t_end
     if np.min(norms[sel]) <= 0.0:
         raise ArithmeticError("trajectory norm underflowed; shorten t_end")

@@ -1,6 +1,7 @@
 """CLI: output shapes, exit codes, determinism."""
 
 import argparse
+import importlib.util
 import inspect
 import json
 import math
@@ -338,8 +339,10 @@ def test_usage_errors_exit_1(capsys):
         ["augment", "-n", "4097", "-m", "0"],
         ["compare", "-n", "4097", "--m-list", "4096"],
         ["compare", "-n", "9", "--m-list", ","],
-        # above the worker ceiling; a one-chunk family in any case
+        # above the worker ceiling: a parse error, before any work
         ["verify", "k2", "-n", "6", "--threads", "100000"],
+        # far below the stability limit: 10 / lambda2 / dt is 5e9 steps here
+        ["consensus", "A_", "--dt", "1e-9"],
         # parse errors: each command takes only the options it reads
         ["verify", "k2", "-n", "abc"],
         ["verify", "bogus"],
@@ -348,6 +351,10 @@ def test_usage_errors_exit_1(capsys):
         ["verify", "tree2", "-d", "3", "-K", "3", "--exhaustive"],
         ["enumerate", "cubic", "-n", "14", "-d", "3"],
         ["enumerate", "trees", "-n", "6", "-m", "5"],
+        # only the commands that can run a sweep take --threads (and augment)
+        ["lambda2", "A_", "--threads", "1"],
+        ["verify", "cubic", "-K", "2", "--threads", "1"],
+        ["compare", "-n", "9", "--m-list", "12", "--threads", "1"],
         # disconnected: one message whatever lambda2's float noise
         ["consensus", "C?"],
         ["consensus", "EwCW"],
@@ -357,7 +364,8 @@ def test_usage_errors_exit_1(capsys):
         assert code == 1, argv
         assert out == "" and err.startswith("error:")
         if argv[0] == "consensus":
-            assert "requires a connected graph" in err
+            message = "too fine" if "--dt" in argv else "requires a connected graph"
+            assert message in err
 
 
 def test_oversized_reference_tree_exits_1_at_once(capsys):
@@ -381,18 +389,18 @@ def _readme_examples():
 
 
 # the option strings of every sub-command, positionals by name
-_SHARED = ("--format", "--timing", "--threads")
+_SHARED = ("--format", "--timing")
 _OPTIONS = {
     "lambda2": ("source", "--vector"),
     "bounds": ("source",),
     "tree-split": ("source",),
-    "enumerate trees": ("-n", "-d", "--max-lambda2"),
-    "enumerate cubic": ("-n", "--max-lambda2"),
-    "enumerate graphs": ("-n", "-m", "--min-degree", "--max-lambda2"),
-    "verify k2": ("-n",),
-    "verify tree2": ("-d", "-K", "--samples", "--seed"),
+    "enumerate trees": ("-n", "-d", "--max-lambda2", "--threads"),
+    "enumerate cubic": ("-n", "--max-lambda2", "--threads"),
+    "enumerate graphs": ("-n", "-m", "--min-degree", "--max-lambda2", "--threads"),
+    "verify k2": ("-n", "--threads"),
+    "verify tree2": ("-d", "-K", "--samples", "--seed", "--threads"),
     "verify cubic": ("-K",),
-    "augment": ("-n", "-m"),
+    "augment": ("-n", "-m", "--threads"),
     "compare": ("-n", "--m-list"),
     "consensus": ("source", "--seed", "--t-end", "--dt"),
 }
@@ -413,6 +421,40 @@ def test_option_inventory():
     # an option added or removed shows up here
     table = {cmd: ["-h", "--help", *_SHARED, *own] for cmd, own in _OPTIONS.items()}
     assert _option_inventory(_build_parser()) == table
+
+
+def test_threads_range_checked_when_parsed(capsys):
+    # a count outside resolve_threads' range is a usage error on every
+    # command that takes --threads, a plain stream and augment included
+    lines = {
+        "enumerate trees": "-n 4",
+        "enumerate cubic": "-n 6",
+        "enumerate graphs": "-n 4 -m 3",
+        "verify k2": "-n 6",
+        "verify tree2": "-K 2",
+        "augment": "-n 3 -m 2",
+    }
+    assert set(lines) == {cmd for cmd, own in _OPTIONS.items() if "--threads" in own}
+    for cmd, rest in lines.items():
+        for k in ("0", "65", "-5"):
+            code, out, err = run_cli(capsys, *f"{cmd} {rest} --threads {k}".split())
+            assert code == 1 and out == "", (cmd, k)
+            assert err.startswith("error:") and "threads must be in 1..64" in err
+
+
+def test_benchmark_command_lines_parse(monkeypatch):
+    # perfbench runs each workload's argv with --threads 1 appended
+    # (perfbench/run.py); a parser change which would break the benchmark
+    # fails here.  workloads.py imports only the standard library.
+    target = README.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", target)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # for @dataclass
+    spec.loader.exec_module(workloads)
+    assert len(workloads.WORKLOADS) == 4
+    parser = _build_parser()
+    for w in workloads.WORKLOADS.values():
+        assert parser.parse_args([*w.argv, "--threads", "1"]).threads == 1, w.name
 
 
 def test_readme_examples_parse():

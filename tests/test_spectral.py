@@ -266,10 +266,41 @@ def test_consensus_rejects_bad_input():
         consensus_decay_rate(g, u0, t_end=1.0, dt=1.0)  # unstable step
     with pytest.raises(ValueError):
         consensus_decay_rate(g, np.ones(4), t_end=1.0, dt=0.01)
+    for t_end in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="positive and finite"):
+            consensus_decay_rate(g, u0, t_end=t_end, dt=0.01)
+    with pytest.raises(ValueError, match="positive and finite"):
+        consensus_decay_rate(g, u0, t_end=1.0, dt=math.nan)
+    # a billion steps: rejected before their norms are allocated
+    with pytest.raises(ValueError, match="too fine"):
+        consensus_decay_rate(g, u0, t_end=1.0, dt=1e-9)
+    # 1e15 steps at a stable dt: 8 PB of norms cannot be allocated
+    with pytest.raises(ValueError, match="too many to store"):
+        consensus_decay_rate(g, u0, t_end=1e13, dt=0.01)
     with pytest.raises(ValueError):
         consensus_decay_rate(
             from_edges(4, [(0, 1), (2, 3)]), u0, t_end=1.0, dt=0.01
         )
+
+
+def test_consensus_default_step_accepted_on_long_path(monkeypatch):
+    # the consensus command's defaults, t_end = 10 / lambda2 and
+    # dt = 0.08 / (2 * maxdeg), ask P_200 for about two million steps: every
+    # check passes and the norms are allocated; the Laplacian comes last
+    g = _path(200)
+    t_end = 10.0 / algebraic_connectivity(g)
+    dt = 0.08 / 4
+    assert 2_000_000 < math.ceil(t_end / dt) < 2_100_000
+
+    class Reached(Exception):
+        pass
+
+    def reached(_):
+        raise Reached
+
+    monkeypatch.setattr("algconn.spectral.laplacian", reached)
+    with pytest.raises(Reached):
+        consensus_decay_rate(g, np.arange(200.0), t_end=t_end, dt=dt)
 
 
 def test_deep_balanced_tree_connectivity_pinned(eigenvalues_below):
