@@ -17,7 +17,7 @@ import numpy as np
 
 from .families import random_regular
 from .graphs import MAX_VERTICES, Graph, from_edges
-from .spectral import _fix_sign, algebraic_connectivity
+from .spectral import algebraic_connectivity
 
 
 @dataclass(frozen=True)
@@ -53,14 +53,15 @@ class FamilyComparison:
 def edge_augmentation(n: int, m: int) -> AugmentationTrace:
     """Grow an n-vertex graph to m edges by greedy spectral augmentation.
 
-    Each step takes the deterministic second eigenvector v of the current
-    Laplacian (ascending eigenvalues, fixed sign) and adds the non-adjacent
-    pair maximizing |v_i - v_j|, ties to the lexicographically smallest
-    pair.  While the graph is disconnected that eigenvector is a kernel
-    direction separating components, so the heuristic first stitches
-    components together; once connected, the connectivity never decreases
-    along the trace.  The steps are deterministic, so the trace to m edges
-    is a prefix of the trace to any larger budget.
+    Each step takes the second eigenvector v of the current Laplacian
+    (ascending eigenvalues) and adds the non-adjacent pair maximizing
+    |v_i - v_j|, a value that is the same for v and -v, ties to the
+    lexicographically smallest pair.  While the graph is disconnected that
+    eigenvector is a kernel direction separating components, so the
+    heuristic first stitches components together; once connected, the
+    connectivity never decreases along the trace.  The steps are
+    deterministic, so the trace to m edges is a prefix of the trace to any
+    larger budget.
     """
     if not 2 <= n <= MAX_VERTICES:
         raise ValueError(f"vertex count must be in 2..{MAX_VERTICES}, got {n}")
@@ -76,7 +77,7 @@ def edge_augmentation(n: int, m: int) -> AugmentationTrace:
     # step's lambda2 and the next step's vector
     vals, vecs = np.linalg.eigh(L)
     for _ in range(m):
-        v = _fix_sign(vecs[:, 1])
+        v = vecs[:, 1]
         diff = np.abs(v[:, None] - v[None, :])
         diff[lower | (L < 0)] = -1.0
         # m <= n(n-1)/2 and each step adds a new edge, so a non-edge is left

@@ -348,8 +348,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     # the sweeps' worker count; a plain enumerate stream shares its parser
     # with --max-lambda2.  augment sizes nothing, but perfbench appends
-    # --threads 1 to every workload, augment-n200 included, until one
-    # benchmark entry point replaces it (ROADMAP item 6)
+    # --threads 1 to every workload, augment-n200 included, until the
+    # ROADMAP item "One benchmark entry point, for both backends" lands
     for p in (trees, cubic, graphs, k2, tree2, augment):
         p.add_argument("--threads", type=_threads, default=None, metavar="N")
 

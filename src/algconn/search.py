@@ -15,8 +15,10 @@ relabeled adjacency, so one canonical labeling per candidate both
 deduplicates the state and gives the rows it is expanded from, and each
 isomorphism class of partial states is expanded once.  Final keys have
 all-zero colours and fixed-width big-endian rows, so sorting them sorts the
-graphs by their canonical rows, across degree sequences too.  Two exact cuts
-skip labelings whose outcome is known (McKay & Piperno, "Practical graph
+graphs by their canonical rows, across degree sequences too.  Each child
+is labeled once and checked once against the keys seen, then pushed if it
+has open vertices or filed as a final if not.  Two exact cuts skip
+labelings whose outcome is known (McKay & Piperno, "Practical graph
 isomorphism, II", 2014): partner sets that differ only by a swap of twin
 vertices are tried once, and a finished regular graph is first labeled with
 a cheap vertex invariant as colours, so only a new graph pays for the
@@ -24,8 +26,9 @@ labeling from one cell.  Neither changes a stream.
 
 One sweep serves every check: the maximizer, the exhaustive conjecture
 checks, the sampled tree check and the cubic attainment check all take their
-lambda2 values from ``_sweep``, which solves a family chunk by chunk through
-the batched eigensolver and yields the values in family order.  ``_sweep``
+lambda2 values from ``_sweep``, which cuts a family into chunks of one vertex
+count, solves each chunk with one stacked call of the batched eigensolver,
+and yields the values in family order.  ``_sweep``
 turns a ``threads`` argument into a worker count through
 ``resolve_threads``, and every entry point passes its argument on
 unchanged; the CLI checks ``--threads`` through the same function when it
@@ -73,8 +76,9 @@ CUBIC_MAX_N = 14
 GRAPH_MAX_N = 10
 
 _CHUNK = 1024
-# a chunk's Laplacians hold at most this many entries, those of 1,024 graphs
-# on 64 vertices (32 MiB); graphs past 64 vertices come fewer to a chunk
+# a chunk of more than one graph holds at most this many Laplacian entries,
+# those of 1,024 graphs on 64 vertices (32 MiB); graphs past 64 vertices
+# come fewer to a chunk
 _CHUNK_ENTRIES = _CHUNK * 64 * 64
 
 # draws of a sampled conjecture check, for the library and the CLI alike
@@ -254,11 +258,15 @@ def _enumerate_by_degrees(
     only the states on the way do.  u's partners are the other open
     vertices that are not yet its neighbours, on either side of it.  In a
     regular sequence every open vertex has the same degree, so u is the
-    first open vertex, the one of smallest remaining capacity.  Finals have
-    all-zero colours, and with all colours equal the canonical labeling is
-    that of the uncoloured graph, so the keys of different degree sequences
-    sort together by canonical rows.  Each sequence has its own ``seen``
-    set.
+    first open vertex, the one of smallest remaining capacity.
+
+    Each sequence has its own ``seen`` set.  Each viable child is keyed
+    once, checked once against ``seen``, and then pushed if it has open
+    vertices or filed in ``finals`` if not (a final, with no edges left to
+    place); no final is pushed.  Finals have all-zero colours, and with all
+    colours equal the canonical labeling is that of the uncoloured graph,
+    so the keys of different degree sequences sort together by canonical
+    rows.
 
     Two cuts skip labelings whose result is known, and change no stream.
     Twin partners (equal caps, equal rows apart from each other) may be
@@ -266,28 +274,24 @@ def _enumerate_by_degrees(
     twin is u or a neighbour of u.  So a partner set is tried only when it
     takes a prefix of each twin class: the lexicographically first set of
     its orbit, which is the one the full loop would have kept, so the kept
-    children come in the same order.  And for a regular sequence a final
-    child is first labeled with ``_local_colours`` as colours, which starts
-    refinement from a finer partition than one cell; equal keys of that
-    kind mean isomorphic graphs, so only a new one gets the uncoloured
-    labeling of the final.
+    children come in the same order.  And a final of a regular sequence is
+    keyed by its pre-key, the key with ``_local_colours`` as colours, which
+    starts refinement from a finer partition than one cell; equal pre-keys
+    mean isomorphic graphs, so only a new one gets the uncoloured labeling
+    it is filed under.  Pre-keys share ``seen`` with the state keys, and no
+    state key equals one: a pre-key's colours are all at least 1 and its
+    rows d-regular, while a state whose colours are all at least 1 has every
+    vertex open, so every row of degree below d.
     """
     finals = []
     for degrees in sequences:
         regular = min(degrees) == max(degrees)
         start = _kernels.canon_key(n, (0,) * n, degrees)
         seen = {start}
-        known = set()  # the invariant-coloured keys of the regular finals
         stack = [start]
         while stack:
-            key = stack.pop()
-            rows, caps = _decode_key(key)
+            rows, caps = _decode_key(stack.pop())
             first = caps.count(0)
-            if first == n:
-                # connected: a final is a child, and _state_viable lets no
-                # closed component through unless it is the whole graph
-                finals.append(key)
-                continue
             # the open vertex of largest degree, the first of them on ties
             degree = [caps[v] + rows[v].bit_count() for v in range(first, n)]
             u = first + degree.index(max(degree))
@@ -307,16 +311,21 @@ def _enumerate_by_degrees(
                 new_caps[u] = 0
                 if not _state_viable(n, new_rows, new_caps):
                     continue
-                if regular and not any(new_caps):
-                    pre = _kernels.canon_key(n, new_rows, _local_colours(n, new_rows))
-                    if pre not in known:
-                        known.add(pre)
-                        finals.append(_kernels.canon_key(n, new_rows, (0,) * n))
+                final = not any(new_caps)
+                colours = _local_colours(n, new_rows) if final and regular else new_caps
+                child = _kernels.canon_key(n, new_rows, colours)
+                if child in seen:
                     continue
-                child = _kernels.canon_key(n, new_rows, new_caps)
-                if child not in seen:
-                    seen.add(child)
+                seen.add(child)
+                if not final:
                     stack.append(child)
+                    continue
+                # connected: _state_viable lets no closed component through
+                # unless it is the whole graph.  A regular final was keyed by
+                # its pre-key, so it is filed under its uncoloured key
+                finals.append(
+                    _kernels.canon_key(n, new_rows, new_caps) if regular else child
+                )
     for key in sorted(finals):
         yield Graph(n, _decode_key(key)[0])
 
@@ -378,39 +387,28 @@ def _sweep(
 ) -> Iterator[tuple[float, Graph]]:
     """(lambda2, graph) for every graph of the family, in family order.
 
-    Graphs are solved in chunks through the batched eigensolver, one
-    stacked solve per vertex count in a chunk; a chunk ends at ``_CHUNK``
-    graphs or ``_CHUNK_ENTRIES`` Laplacian entries.  Chunks may be solved on
-    worker threads, as many as ``resolve_threads(threads)`` gives; at most
-    one more chunk than that is in flight at once, so the family is never
-    held in memory whole, and results come back in submission order.
+    Graphs are solved in chunks, one ``laplacian_stack`` and one
+    ``batched_lambda2`` call each.  A chunk holds graphs of one vertex
+    count, as the stacked solver needs equal shapes; it ends where the count
+    changes, at ``_CHUNK`` graphs, or at the last graph that keeps its
+    Laplacians within ``_CHUNK_ENTRIES`` entries (a lone larger graph is a
+    chunk by itself).  Chunks may be solved on worker threads, as many as
+    ``resolve_threads(threads)`` gives; at most one more chunk than that is
+    in flight at once, so the family is never held in memory whole, and
+    results come back in submission order.
     """
     threads = resolve_threads(threads)
 
     def chunks():
-        block, entries = [], 0
-        for g in family:
-            block.append(g)
-            entries += g.n * g.n
-            if len(block) == _CHUNK or entries >= _CHUNK_ENTRIES:
+        for n, graphs in itertools.groupby(family, key=lambda g: g.n):
+            size = max(1, min(_CHUNK, _CHUNK_ENTRIES // (n * n)))
+            while block := list(itertools.islice(graphs, size)):
                 yield block
-                block, entries = [], 0
-        if block:
-            yield block
 
     def solve(block):
-        if any(g.n < 2 for g in block):
+        if block[0].n < 2:
             raise ValueError("lambda2 needs graphs with n >= 2")
-        # batch per vertex count: the stacked solver needs equal shapes
-        vals = [0.0] * len(block)
-        groups: dict[int, list[int]] = {}
-        for k, g in enumerate(block):
-            groups.setdefault(g.n, []).append(k)
-        for idx in groups.values():
-            lam2 = batched_lambda2(laplacian_stack([block[k] for k in idx]))
-            for k, val in zip(idx, lam2.tolist()):
-                vals[k] = val
-        return list(zip(vals, block))
+        return list(zip(batched_lambda2(laplacian_stack(block)).tolist(), block))
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
         pending = deque()

@@ -28,17 +28,24 @@ class SplitResult:
     component_sizes: tuple[int, ...]
 
 
-def _branches(t: Graph) -> list[list[tuple[int, int]]]:
-    # for every vertex v, the (mask, attachment vertex) of each component of
-    # t - v, from one breadth-first pass rooted at vertex 0: each child's
-    # subtree, then, below the root, the rest of the tree through the parent
+def _rooted(t: Graph, root: int) -> tuple[list[int], list[int]]:
+    # each vertex's parent (-1 at the root) and the breadth-first order from
+    # the root, parents before children
     parent = [-1] * t.n
-    order = [0]
+    order = [root]
     for v in order:
         for u in _bits(t.rows[v]):
             if u != parent[v]:
                 parent[u] = v
                 order.append(u)
+    return parent, order
+
+
+def _branches(t: Graph) -> list[list[tuple[int, int]]]:
+    # for every vertex v, the (mask, attachment vertex) of each component of
+    # t - v, from one breadth-first pass rooted at vertex 0: each child's
+    # subtree, then, below the root, the rest of the tree through the parent
+    parent, order = _rooted(t, 0)
     sub = [1 << v for v in range(t.n)]
     for v in reversed(order[1:]):
         sub[parent[v]] |= sub[v]
@@ -73,13 +80,7 @@ def canonical_tree(t: Graph) -> Graph:
         layer = peeled
     best = None
     for root in layer:
-        parent = [-1] * n
-        order = [root]
-        for v in order:
-            for w in _bits(t.rows[v]):
-                if w != parent[v]:
-                    parent[w] = v
-                    order.append(w)
+        parent, order = _rooted(t, root)
         code = [""] * n
         kids = [[] for _ in range(n)]
         for v in reversed(order):  # children before parents

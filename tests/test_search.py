@@ -5,6 +5,7 @@ import itertools
 import os
 import random
 
+import numpy as np
 import pytest
 
 from algconn import _kernels, search
@@ -316,10 +317,12 @@ def test_generator_expands_as_the_unpruned_loop(
     # non-final states are expanded in the same order, and the same finals
     # come out
     expanded = []
+    opened = []  # whether each decoded key has an open vertex
     real = search._decode_key
 
     def record(key):
         rows, caps = real(key)
+        opened.append(any(caps))
         if any(caps):
             expanded.append(key)
         return rows, caps
@@ -337,6 +340,8 @@ def test_generator_expands_as_the_unpruned_loop(
         want = list(family(*args))
     assert expanded == want_expanded
     assert got == want
+    # no final is pushed: each is decoded once, in the closing sort
+    assert opened == [True] * len(expanded) + [False] * len(got)
 
 
 def test_cubic_rejects_bad_n():
@@ -521,9 +526,11 @@ def test_maximize_reports_all_tied_maximizers():
 
 
 def test_sweep_matches_per_graph_solve_in_family_order():
-    # mixed vertex counts in both chunks; 1,108 graphs span two chunks
+    # a chunk ends where the vertex count changes: the mixed graphs are a
+    # chunk each, and the trees come in runs of 400, 400 and 300 on 12, 13
+    # and 14 vertices
     mixed = [cycle(4), path(2), complete_bipartite(5, 2), star(4)]
-    trees = [random_tree(12 + s % 3, 3, s) for s in range(1100)]
+    trees = [random_tree(12 + s // 400, 3, s) for s in range(1100)]
     family = mixed + trees + mixed
     expect = [algebraic_connectivity(g) for g in family]
     for threads in (1, 3):
@@ -535,19 +542,32 @@ def test_sweep_matches_per_graph_solve_in_family_order():
 
 
 def test_sweep_chunks_bound_the_laplacian_entries(monkeypatch):
-    # 1,024 graphs of up to 64 vertices to a chunk, fewer past that: the
-    # second chunk ends with 6 paths on 64 vertices and 417 on 100, whose
-    # entries pass 64 * 64 * 1,024
-    sizes = []
-    real = search.laplacian_stack
+    # 1,024 graphs of up to 64 vertices to a chunk, fewer past that, and a
+    # chunk ends where the vertex count changes: 6 paths on 64 vertices,
+    # then 419 on 100, the most whose entries stay within 64 * 64 * 1,024.
+    # Only the chunking is checked, so no stack is built or solved
+    chunks = []
 
     def record(graphs):
-        sizes.append((len(graphs), graphs[0].n))
-        return real(graphs)
+        chunks.append([g.n for g in graphs])
+        return np.zeros((len(graphs), 2, 2))
 
     monkeypatch.setattr(search, "laplacian_stack", record)
-    list(_sweep([path(64)] * 1030 + [path(100)] * 500, 1))
-    assert sizes == [(1024, 64), (6, 64), (417, 100), (83, 100)]
+    monkeypatch.setattr(search, "batched_lambda2", lambda stack: stack[:, 0, 0])
+
+    def chunking(family):
+        chunks.clear()
+        assert [g for _, g in _sweep(family, 1)] == family
+        for c in chunks:
+            assert len(set(c)) == 1
+            assert len(c) == 1 or len(c) * c[0] ** 2 <= search._CHUNK_ENTRIES
+        return [(len(c), c[0]) for c in chunks]
+
+    family = [path(64)] * 1030 + [path(100)] * 500
+    assert chunking(family) == [(1024, 64), (6, 64), (419, 100), (81, 100)]
+    # past 2,048 vertices one graph passes the bound, so it is a chunk alone
+    family = [path(2049), path(2049), path(3), path(4), path(4)]
+    assert chunking(family) == [(1, 2049), (1, 2049), (1, 3), (2, 4)]
 
 
 def test_twin_predecessors_point_back_within_each_class():
