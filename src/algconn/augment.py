@@ -112,9 +112,11 @@ def largest_bipartite_part(n: int, m: int) -> int:
 
 REGULAR_SEEDS = tuple(range(10))
 # the pairing model restarts until no loop or repeated edge is left, about
-# e^((d^2 - 1) / 4) times per sparse graph (Bender & Canfield, 1978) and more
-# when dense: the ten seeds average 117,669 shuffles a graph at n = 9, d = 6,
-# and at n = 10, d = 7 they ran for 8 minutes without finishing
+# e^((k^2 - 1) / 4) times a graph (Bender & Canfield, 1978), where k is the
+# smaller of d and n - 1 - d, the degree random_regular draws: the ten seeds
+# take 20 shuffles in all at n = 9, d = 6, but about 40,000 a graph at
+# n = 13, d = 6.  From n = 15 on, d = 7 draws k = 7, about e^12 restarts a
+# graph, so the column stops at d = 6 for every n
 REGULAR_MAX_D = 6
 
 

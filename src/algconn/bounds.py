@@ -254,13 +254,9 @@ def bound_report(g: Graph) -> BoundReport:
     lam2 = algebraic_connectivity(g)
     entries = []
 
-    def add(name, value, applicable, certified, note=""):
-        attained = (
-            applicable
-            and certified
-            and value is not None
-            and abs(value - lam2) <= ATTAINED_TOL
-        )
+    def add(name, value, certified, note=""):
+        applicable = value is not None
+        attained = applicable and certified and abs(value - lam2) <= ATTAINED_TOL
         entries.append(
             BoundEntry(
                 name=name,
@@ -272,46 +268,44 @@ def bound_report(g: Graph) -> BoundReport:
             )
         )
 
-    add("min_degree", min_degree_bound(g), True, True, "n/(n-1) * min degree")
+    add("min_degree", min_degree_bound(g), True, "n/(n-1) * min degree")
 
     tree = is_tree(g)
     d = max_degree(g)
     if tree:
         D = diameter(g)
-        add("diameter_path", _path_bound(D), True, True, f"embedded path, D={D}")
+        add("diameter_path", _path_bound(D), True, f"embedded path, D={D}")
     else:
-        add("diameter_path", None, False, True, "not a tree")
+        add("diameter_path", None, True, "not a tree")
 
     if tree and d >= 3:
         try:
             K = _tree_bound_level(g.n, d)
             val = tree_bound_precise(g.n, d)
-            add("tree_layered", float(val), True, True, f"d={d}, K={K}")
+            add("tree_layered", float(val), True, f"d={d}, K={K}")
         except ValueError as exc:
-            add("tree_layered", None, False, True, str(exc))
-        add("tree_asymptotic", tree_bound_asymptotic(g.n, d), True, False,
+            add("tree_layered", None, True, str(exc))
+        add("tree_asymptotic", tree_bound_asymptotic(g.n, d), False,
             f"2(d-2)/n at d={d}")
-        add("tree_conjectured", conjectured_tree_bound(g.n, d), True, False,
+        add("tree_conjectured", conjectured_tree_bound(g.n, d), False,
             f"d(d-2)/((d-1)n) at d={d}")
     else:
         why = "not a tree" if not tree else "max degree below 3"
-        add("tree_layered", None, False, True, why)
-        add("tree_asymptotic", None, False, False, why)
-        add("tree_conjectured", None, False, False, why)
+        add("tree_layered", None, True, why)
+        add("tree_asymptotic", None, False, why)
+        add("tree_conjectured", None, False, why)
 
     cubic = degree_sequence(g) == (3,) * g.n
     if cubic:  # 3n/2 edges on n vertices: a cubic graph has a cycle
         gir = girth(g)
-        add("girth_cubic", girth_bound(gir), True, True,
-            f"girth {gir}, K={gir // 2}")
+        add("girth_cubic", girth_bound(gir), True, f"girth {gir}, K={gir // 2}")
     else:
-        add("girth_cubic", None, False, True, "needs a cubic graph with a cycle")
+        add("girth_cubic", None, True, "needs a cubic graph with a cycle")
 
     D = diameter(g) if cubic and is_connected(g) else 0
     if D >= 2:
-        add("nilli_cubic", nilli_bound(D), True, True, f"diameter {D}")
+        add("nilli_cubic", nilli_bound(D), True, f"diameter {D}")
     else:
-        add("nilli_cubic", None, False, True,
-            "needs a connected cubic graph of diameter >= 2")
+        add("nilli_cubic", None, True, "needs a connected cubic graph of diameter >= 2")
 
     return BoundReport(lambda2=lam2, entries=tuple(entries))

@@ -40,9 +40,9 @@ at ``GRAPH_MAX_N`` and ``CUBIC_MAX_N``.
 
 Tree maximization solves only the trees that can win.  Each layout of the
 tree walk is rooted at a centre, so its height bounds the tree's diameter
-from below and the path bound caps its lambda2; ``maximize_trees`` takes an
-incumbent from the shortest layouts and walks only the heights whose bound
-still reaches it (2,056 of the 52,233 trees at n = 20, d <= 3).
+from below and the path bound caps its lambda2; ``maximize_trees`` walks
+the heights in order and stops at the first one past which no taller tree
+can reach the best so far (2,056 of the 52,233 trees at n = 20, d <= 3).
 """
 
 from __future__ import annotations
@@ -133,19 +133,17 @@ def _layout_to_graph(layout: tuple[int, ...]) -> Graph:
     return Graph(n, rows)
 
 
-def _tree_family_nonempty(n: int, d_max: int) -> bool:
-    # the argument check of enumerate_trees and count_trees
+def _check_tree_args(n: int, d_max: int) -> None:
+    # the argument check of enumerate_trees, count_trees and maximize_trees
     if not 1 <= n <= TREE_MAX_N:
         raise ValueError(f"tree enumeration supports 1 <= n <= {TREE_MAX_N}")
     if d_max < 1:
         raise ValueError("d_max must be >= 1")
-    return n <= 2 or d_max >= 2
 
 
 def enumerate_trees(n: int, d_max: int) -> Iterator[Graph]:
     """All unlabeled trees on n vertices with maximum degree <= d_max."""
-    if not _tree_family_nonempty(n, d_max):
-        return iter(())
+    _check_tree_args(n, d_max)
     return map(_layout_to_graph, _kernels.free_tree_layouts(n, d_max))
 
 
@@ -157,19 +155,19 @@ def count_trees(n: int, d_max: int) -> int:
     vertices, whose vertices have at most d_max-1 children; a tree with two
     centroids is an unordered pair of such branches on n/2 vertices.
     """
-    if not _tree_family_nonempty(n, d_max):
-        return 0
+    _check_tree_args(n, d_max)
     # forests[s][k]: multisets of k branches on s vertices in all, over the
-    # branch sizes folded in so far; j of r kinds of branch make C(r+j-1, j)
+    # branch sizes folded in so far; j >= 1 of r kinds of branch make
+    # C(r+j-1, j), held at picks[j - 1]
     kmax = min(d_max, n - 1)
     forests = [[1] + [0] * kmax] + [[0] * (kmax + 1) for _ in range(n - 1)]
     for t in range(1, (n + 1) // 2):
         rooted = sum(forests[t - 1][:d_max])  # branches on t vertices
-        picks = [math.comb(rooted + j - 1, j) for j in range(kmax + 1)]
+        picks = [math.comb(rooted + j - 1, j) for j in range(1, kmax + 1)]
         for s in range(n - 1, t - 1, -1):
             for k in range(kmax, 0, -1):
                 for j in range(1, min(k, s // t) + 1):
-                    forests[s][k] += forests[s - j * t][k - j] * picks[j]
+                    forests[s][k] += forests[s - j * t][k - j] * picks[j - 1]
     free = sum(forests[n - 1])  # one centroid
     if n % 2 == 0:  # two centroids
         free += math.comb(sum(forests[n // 2 - 1][:d_max]) + 1, 2)
@@ -453,20 +451,9 @@ def _best_of(solved: Iterable[tuple[float, Graph]]) -> SearchOutcome:
     )
 
 
-# below the incumbent by this much, a tree cannot tie the best; far wider
+# below the best so far by this much, a tree cannot tie the best; far wider
 # than _TIE_TOL and than the error of a computed lambda2
 _HEIGHT_CAP_MARGIN = 1e-6
-
-
-def _min_tree_height(n: int, d_max: int) -> int:
-    # the fewest levels a centre-rooted layout fills: the root has at most
-    # d_max children and every other vertex at most d_max - 1
-    height, size, width = 0, 1, d_max
-    while size < n:
-        size += width
-        width *= d_max - 1
-        height += 1
-    return height
 
 
 def maximize_trees(n: int, d_max: int, threads: Optional[int] = None) -> SearchOutcome:
@@ -476,30 +463,27 @@ def maximize_trees(n: int, d_max: int, threads: Optional[int] = None) -> SearchO
     A layout of height h is rooted at a centre of its tree, so the tree has
     diameter at least 2h - 1 and lambda2 <= 2 - 2 cos(pi / 2h), the value
     of the path it contains (Grone, Merris & Sunder, SIAM J. Matrix Anal.
-    Appl. 11, 1990).  The trees of the smallest height give an incumbent.
-    The walk is then capped at the smallest height h with
-    ``_path_bound(2h + 1)`` below the incumbent less ``_HEIGHT_CAP_MARGIN``,
-    which bounds every taller tree.  No tree above the cap can be a
-    maximizer or tie one, so the outcome is the full sweep's, with
-    ``enumerated`` taken from ``count_trees``.
+    Appl. 11, 1990).  The heights are swept in order, 0, 1, 2, ..., the
+    trees of each through one ``_sweep``, and the sweep stops after the
+    first height h whose ``_path_bound(2h + 1)``, which bounds every taller
+    tree, is below the best so far less ``_HEIGHT_CAP_MARGIN``.  No taller
+    tree can be a maximizer or tie one, so the outcome is the full sweep's,
+    with ``enumerated`` taken from ``count_trees``.
     """
-    if not _tree_family_nonempty(n, d_max):
-        raise ValueError("empty family")
+    _check_tree_args(n, d_max)
 
-    def capped(height, above=-1):
-        for layout in _kernels.free_tree_layouts(n, d_max, height):
-            if max(layout) > above:
-                yield _layout_to_graph(layout)
+    def solved():
+        best = -math.inf
+        for height in range(n):
+            layouts = _kernels.free_tree_layouts(n, d_max, height)
+            trees = (_layout_to_graph(t) for t in layouts if max(t) == height)
+            for val, g in _sweep(trees, threads):
+                best = max(best, val)
+                yield val, g
+            if _path_bound(2 * height + 1) < best - _HEIGHT_CAP_MARGIN:
+                return
 
-    lowest = _min_tree_height(n, d_max)
-    first = list(_sweep(capped(lowest), threads))
-    incumbent = max(val for val, _ in first)
-    height = lowest
-    while height < n and _path_bound(2 * height + 1) >= incumbent - _HEIGHT_CAP_MARGIN:
-        height += 1
-    # the trees of the lowest height are solved already
-    taller = _sweep(capped(height, lowest), threads)
-    outcome = _best_of(itertools.chain(first, taller))
+    outcome = _best_of(solved())
     return replace(outcome, enumerated=count_trees(n, d_max))
 
 

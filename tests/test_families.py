@@ -1,6 +1,8 @@
 """Graph families: shapes, degrees, and known spectral values."""
 
+import itertools
 import math
+import random
 
 import pytest
 
@@ -105,6 +107,29 @@ def test_random_regular_is_regular_and_seeded():
         random_regular(5, 3, 0)  # odd n*d
     with pytest.raises(ValueError):
         random_regular(4, 4, 0)
+
+
+def test_random_regular_draws_the_sparse_side(monkeypatch):
+    # 2d > n - 1: the complement of the (n - 1 - d)-regular draw of the same
+    # seed.  Pairing the dense stubs directly restarts about 118,000 times a
+    # graph at n = 9, d = 6; the ten sparse draws take 20 shuffles in all
+    shuffles = []
+    shuffle = random.Random.shuffle
+
+    def record(self, x):
+        shuffles.append(len(x))
+        return shuffle(self, x)
+
+    monkeypatch.setattr(random.Random, "shuffle", record)
+    dense = [random_regular(9, 6, seed) for seed in range(10)]
+    assert len(shuffles) <= 100
+    for seed, g in enumerate(dense):
+        assert degree_sequence(g) == (6,) * 9 and is_connected(g)
+        sparse = random_regular(9, 2, seed)
+        assert all(
+            g.has_edge(u, v) != sparse.has_edge(u, v)
+            for u, v in itertools.combinations(range(9), 2)
+        )
 
 
 def test_random_tree_respects_cap():

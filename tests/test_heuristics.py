@@ -142,7 +142,8 @@ def test_compare_families_reads_one_trace(monkeypatch):
 
 
 def test_compare_families_skips_dense_regular():
-    # d = 2m/n >= 7 would keep the pairing model restarting for minutes
+    # the column stops at d = 6 for every n: from n = 15 on, d = 7 draws a
+    # 7-regular graph, which the pairing model restarts about e^12 times
     for n, m in ((9, 36), (10, 40)):
         (row,) = compare_families(n, [m]).rows
         assert row.regular_d is None and row.regular_mean is None

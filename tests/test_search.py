@@ -38,7 +38,6 @@ from algconn.search import (
     MAX_THREADS,
     TREE_MAX_N,
     ConjectureReport,
-    _min_tree_height,
     _sweep,
     count_trees,
     enumerate_cubic,
@@ -224,6 +223,9 @@ def test_enumerate_trees_edge_cases():
         enumerate_trees(25, 3)
     with pytest.raises(ValueError):
         count_trees(0, 3)
+    # no tree on 3 or more vertices has all degrees <= 1
+    for n in range(3, TREE_MAX_N + 1):
+        assert count_trees(n, 1) == 0, n
 
 
 # ---------------------------------------------------------------------------
@@ -437,18 +439,16 @@ def test_maximize_trees_matches_the_full_sweep():
         for d in sorted({2, 3, 4, n}):
             full = maximize_lambda2(enumerate_trees(n, d), threads=1)
             capped = maximize_trees(n, d, threads=1)
-            # the incumbent walk's height is the smallest any layout has
-            heights = [max(t) for t in _kernels.free_tree_layouts(n, d)]
-            assert _min_tree_height(n, d) == min(heights), (n, d)
             assert capped.enumerated == full.enumerated == count_trees(n, d)
             assert capped.maximizers == full.maximizers, (n, d)
             assert capped.best_lambda2 == full.best_lambda2, (n, d)
 
 
 def test_maximize_trees_cap(monkeypatch):
-    # the smallest cap the path bound allows: at n = 20, d <= 3 the
-    # incumbent comes from height 3 and the cap is 4; at n = 24, d <= 24
-    # the star alone is walked, twice
+    # the heights are walked in order up to the first whose taller trees
+    # the path bound puts below the best: at n = 20, d <= 3 the best comes
+    # from height 3 and the walk stops after 4; at n = 24, d <= 24 the star
+    # is the only tree of height <= 1
     walked = []
     walk = _kernels.free_tree_layouts
 
@@ -460,12 +460,24 @@ def test_maximize_trees_cap(monkeypatch):
     assert maximize_trees(20, 3, threads=1).enumerated == 52233
     (star_g6,) = maximize_trees(24, 24, threads=1).maximizers
     assert max_degree(graph6_decode(star_g6)) == 23
-    assert walked == [3, 4, 1, 1]
+    assert walked == [0, 1, 2, 3, 4, 0, 1]
+    for n in range(2, 17):
+        for d in sorted({2, 3, 4, n}):
+            walked.clear()
+            best = maximize_trees(n, d, threads=1).best_lambda2
+            assert walked == list(range(len(walked))), (n, d)
+            stop = next(
+                h
+                for h in itertools.count()
+                if search._path_bound(2 * h + 1)
+                < best - search._HEIGHT_CAP_MARGIN
+            )
+            assert walked[-1] == stop, (n, d)
 
 
 def test_maximize_trees_solves_each_tree_once(monkeypatch):
     # 2,056 trees of height <= 4 at n = 20, d <= 3, the 3 of height 3 among
-    # them: the incumbent's trees are not solved again under the cap
+    # them: each height's walk solves only the trees of that height
     solved = []
     solve = search.batched_lambda2
 
