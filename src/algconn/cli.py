@@ -228,7 +228,10 @@ def _cmd_augment(args):
 
 
 def _cmd_compare(args):
-    m_values = [int(tok) for tok in args.m_list.split(",") if tok]
+    try:
+        m_values = [int(tok) for tok in args.m_list.split(",") if tok]
+    except ValueError as exc:  # int's message quotes the bad token
+        raise ValueError(f"--m-list: {exc}") from None
     if not m_values:
         raise ValueError("--m-list needs at least one edge count")
     cmp = compare_families(args.n, m_values)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -132,21 +132,27 @@ def modified_lambda(g: Graph, r: int) -> float:
     return float(np.linalg.eigvalsh(M)[0])
 
 
-def rayleigh_quotient(g: Graph, x: np.ndarray) -> float:
-    """sum over edges of (x_i - x_j)^2, divided by sum of x_j^2.
-
-    For mean-zero x this is an upper bound on the algebraic connectivity.
-    """
+def _quotient(g: Graph, x: np.ndarray, r: Optional[int]) -> float:
+    # the edge sum of (x_i - x_j)^2, plus x_r^2 when a root r is given,
+    # over the sum of x_j^2
     x = np.asarray(x, dtype=float)
     if x.shape != (g.n,):
         raise ValueError("vector length must equal n")
     den = float(x @ x)
     if den == 0.0:
         raise ValueError("zero vector")
-    num = 0.0
+    num = 0.0 if r is None else float(x[r] ** 2)
     for i, j in g.edges():
         num += (x[i] - x[j]) ** 2
     return num / den
+
+
+def rayleigh_quotient(g: Graph, x: np.ndarray) -> float:
+    """sum over edges of (x_i - x_j)^2, divided by sum of x_j^2.
+
+    For mean-zero x this is an upper bound on the algebraic connectivity.
+    """
+    return _quotient(g, x, None)
 
 
 def modified_rayleigh_quotient(g: Graph, r: int, x: np.ndarray) -> float:
@@ -157,16 +163,7 @@ def modified_rayleigh_quotient(g: Graph, r: int, x: np.ndarray) -> float:
     """
     if not 0 <= r < g.n:
         raise ValueError(f"root {r} outside 0..{g.n - 1}")
-    x = np.asarray(x, dtype=float)
-    if x.shape != (g.n,):
-        raise ValueError("vector length must equal n")
-    den = float(x @ x)
-    if den == 0.0:
-        raise ValueError("zero vector")
-    num = float(x[r] ** 2)
-    for i, j in g.edges():
-        num += (x[i] - x[j]) ** 2
-    return num / den
+    return _quotient(g, x, r)
 
 
 def consensus_decay_rate(
@@ -209,7 +206,7 @@ def consensus_decay_rate(
     try:
         norms = np.empty(steps + 1)
         times = np.linspace(0.0, t_end, steps + 1)
-    except MemoryError:
+    except (MemoryError, ValueError):  # ValueError: past numpy's largest size
         raise ValueError(
             f"t_end / dt asks for {steps:,} RK4 steps, too many to store"
         ) from None

@@ -57,6 +57,18 @@ def _branches(t: Graph) -> list[list[tuple[int, int]]]:
     return branches
 
 
+def _centroid(t: Graph) -> tuple[int, list[tuple[int, int]]]:
+    # the vertex whose largest component is smallest (the lowest index on
+    # ties), with the (mask, attachment vertex) of each of its components
+    if not is_tree(t):
+        raise ValueError("splitting vertex is defined for trees")
+    if t.n < 3:
+        raise ValueError("need n >= 3")
+    branches = _branches(t)
+    v = min(range(t.n), key=lambda v: max(m.bit_count() for m, _ in branches[v]))
+    return v, branches[v]
+
+
 def canonical_tree(t: Graph) -> Graph:
     """t relabeled in preorder from a centre, children in the order of
     their AHU codes (Aho, Hopcroft & Ullman, 1974), so isomorphic trees
@@ -113,13 +125,8 @@ def find_splitting_vertex(t: Graph) -> SplitResult:
     max degree d, at least two of the components have size
     >= (n-2) / (2(d-1)).
     """
-    if not is_tree(t):
-        raise ValueError("splitting vertex is defined for trees")
-    if t.n < 3:
-        raise ValueError("need n >= 3")
-    branches = _branches(t)
-    v = min(range(t.n), key=lambda v: max(m.bit_count() for m, _ in branches[v]))
-    sizes = sorted((m.bit_count() for m, _ in branches[v]), reverse=True)
+    v, comps = _centroid(t)
+    sizes = sorted((m.bit_count() for m, _ in comps), reverse=True)
     return SplitResult(vertex=v, component_sizes=tuple(sizes))
 
 
@@ -138,8 +145,7 @@ def split_spectral_bound(t: Graph) -> float:
     two modified quotients dominates the tree's connectivity.  Sound for
     every tree on >= 3 vertices, with no depth precondition.
     """
-    v = find_splitting_vertex(t).vertex  # raises first on a non-tree
-    comps = _branches(t)[v]
+    _, comps = _centroid(t)
     comps.sort(key=lambda c: (-c[0].bit_count(), c[0] & -c[0]))
     d = max(3, max_degree(t))
     quotients = []

@@ -1,5 +1,6 @@
 """Bound formulas: exact rational values, attainment, and soundness."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -15,7 +16,6 @@ from algconn.bounds import (
     conjectured_tree_bound,
     girth_bound,
     lamtilde_test_vector,
-    layer_decomposition,
     min_degree_bound,
     nilli_bound,
     precise_lamtilde_bound,
@@ -40,6 +40,7 @@ from algconn.spectral import (
     modified_lambda,
     modified_rayleigh_quotient,
 )
+from algconn.treetools import split_spectral_bound
 
 
 def _branch(d, K):
@@ -60,34 +61,50 @@ def _branch(d, K):
 
 
 # ---------------------------------------------------------------------------
-# layer decomposition
-# ---------------------------------------------------------------------------
-
-
-def test_layer_decomposition_known():
-    assert layer_decomposition(1, 3) == layer_decomposition(1, 3).__class__(1, 0)
-    assert (layer_decomposition(3, 3).K, layer_decomposition(3, 3).m) == (2, 0)
-    assert (layer_decomposition(4, 3).K, layer_decomposition(4, 3).m) == (2, 1)
-    assert (layer_decomposition(6, 3).K, layer_decomposition(6, 3).m) == (2, 3)
-    assert (layer_decomposition(7, 3).K, layer_decomposition(7, 3).m) == (3, 0)
-    assert (layer_decomposition(100, 3).K, layer_decomposition(100, 3).m) == (6, 37)
-    assert (layer_decomposition(5, 4).K, layer_decomposition(5, 4).m) == (2, 1)
-
-
-def test_layer_decomposition_invariants():
-    rng = random.Random(3)
-    for _ in range(200):
-        n = rng.randrange(1, 5000)
-        d = rng.randrange(3, 9)
-        dec = layer_decomposition(n, d)
-        total = sum((d - 1) ** k for k in range(dec.K))
-        assert total + dec.m == n
-        assert 0 <= dec.m < (d - 1) ** dec.K
-
-
-# ---------------------------------------------------------------------------
 # layered test vector and its quotient
 # ---------------------------------------------------------------------------
+
+
+def _path_layers(n, d):
+    # (value, count) of each run of equal entries in the test vector of the
+    # path rooted at its end, whose breadth-first order is its index order
+    x = lamtilde_test_vector(path(n), 0, d)
+    return [(v, len(list(run))) for v, run in itertools.groupby(x.tolist())]
+
+
+def _layer_values(d, count):
+    return [1.0 - (d - 1.0) ** (-k) for k in range(1, count + 1)]
+
+
+def test_test_vector_layer_sizes_known():
+    for n, d, sizes in (
+        (1, 3, [1]),
+        (3, 3, [1, 2]),
+        (4, 3, [1, 2, 1]),
+        (6, 3, [1, 2, 3]),
+        (7, 3, [1, 2, 4]),
+        (100, 3, [1, 2, 4, 8, 16, 32, 37]),
+        (5, 4, [1, 3, 1]),
+    ):
+        layers = _path_layers(n, d)
+        assert [c for _, c in layers] == sizes, (n, d)
+        assert [v for v, _ in layers] == _layer_values(d, len(sizes))
+
+
+def test_test_vector_layer_sizes_invariants():
+    # full layers of 1, d-1, (d-1)^2, ... and then one nonempty layer that
+    # is at most full, each at its own value (n stays within a Graph's 4096)
+    rng = random.Random(3)
+    for _ in range(200):
+        n = rng.randrange(1, 4097)
+        d = rng.randrange(3, 9)
+        layers = _path_layers(n, d)
+        sizes = [c for _, c in layers]
+        K = len(sizes) - 1
+        assert sum(sizes) == n
+        assert sizes[:K] == [(d - 1) ** k for k in range(K)]
+        assert 1 <= sizes[K] <= (d - 1) ** K
+        assert [v for v, _ in layers] == _layer_values(d, K + 1)
 
 
 def test_test_vector_layer_values():
@@ -172,6 +189,30 @@ def test_reference_asymptotics():
     for n in (50, 500):
         for d in (3, 4, 6):
             assert conjectured_tree_bound(n, d) < tree_bound_asymptotic(n, d)
+
+
+def test_tree_bounds_on_balanced_trees():
+    # the balanced (Bethe) trees past the enumerable sizes, up to 766
+    # vertices: n * lambda2 falls toward d(d-2)/(d-1) from above, so the
+    # conjectured constant lies below every one of them, while the split
+    # bound and the precise bound stay above lambda2
+    pinned = {(3, 4): 1.85433, (3, 8): 1.53889, (4, 4): 2.81907, (5, 4): 3.82748}
+    for d, K_max in ((3, 8), (4, 5), (5, 4), (6, 3), (7, 3)):
+        scaled = []
+        for K in range(1, K_max + 1):
+            t = bethe_tree(d, K)
+            lam2 = algebraic_connectivity(t)
+            assert split_spectral_bound(t) >= lam2 - 1e-9, (d, K)
+            if t.n >= (22, 53, 106, 187, 302)[d - 3]:
+                assert tree_bound_precise(t.n, d) >= lam2, (d, K)
+            else:  # no guaranteed depth-2 branch yet
+                with pytest.raises(ValueError):
+                    tree_bound_precise(t.n, d)
+            assert conjectured_tree_bound(t.n, d) < lam2, (d, K)
+            scaled.append(t.n * lam2)
+            if (d, K) in pinned:
+                assert t.n * lam2 == pytest.approx(pinned[d, K], abs=1e-4)
+        assert all(a > b for a, b in zip(scaled, scaled[1:])), d
 
 
 # ---------------------------------------------------------------------------

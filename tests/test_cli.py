@@ -324,6 +324,12 @@ def test_timing_on_empty_table(capsys):
 
 
 def test_usage_errors_exit_1(capsys):
+    # what each message must hold, by the argument at fault
+    messages = {
+        "1e-9": "too fine",
+        "1e300": "t_end / dt asks for",
+        "4,x": "--m-list: invalid literal for int() with base 10: 'x'",
+    }
     for argv in (
         ["lambda2", "not-a-graph!!"],
         ["lambda2", "named:nonesuch"],
@@ -343,6 +349,9 @@ def test_usage_errors_exit_1(capsys):
         ["verify", "k2", "-n", "6", "--threads", "100000"],
         # far below the stability limit: 10 / lambda2 / dt is 5e9 steps here
         ["consensus", "A_", "--dt", "1e-9"],
+        # 2.5e301 steps: past numpy's largest array, not only past memory
+        ["consensus", "A_", "--t-end", "1e300"],
+        ["compare", "-n", "5", "--m-list", "4,x"],
         # parse errors: each command takes only the options it reads
         ["verify", "k2", "-n", "abc"],
         ["verify", "bogus"],
@@ -363,9 +372,11 @@ def test_usage_errors_exit_1(capsys):
         code, out, err = run_cli(capsys, *argv)
         assert code == 1, argv
         assert out == "" and err.startswith("error:")
-        if argv[0] == "consensus":
-            message = "too fine" if "--dt" in argv else "requires a connected graph"
-            assert message in err
+        fault = next((a for a in argv if a in messages), None)
+        if fault is not None:
+            assert messages[fault] in err, argv
+        elif argv[0] == "consensus":
+            assert "requires a connected graph" in err
 
 
 def test_oversized_reference_tree_exits_1_at_once(capsys):

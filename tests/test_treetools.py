@@ -124,6 +124,23 @@ def test_split_spectral_bound_path_value():
     assert algebraic_connectivity(t) < split_spectral_bound(t) < 0.5
 
 
+def test_split_functions_build_the_branch_table_once(monkeypatch):
+    import algconn.treetools
+
+    calls = []
+
+    def counted(t):
+        calls.append(t)
+        return _branches(t)
+
+    monkeypatch.setattr(algconn.treetools, "_branches", counted)
+    for t in (path(3), bethe_tree(3, 3), random_tree(40, 4, 5)):
+        for split in (find_splitting_vertex, split_spectral_bound):
+            calls.clear()
+            split(t)
+            assert calls == [t], split.__name__
+
+
 def test_is_well_balanced():
     assert is_well_balanced(bethe_tree(3, 3))  # root leaves {7,7,7}, (n-1)/d = 7
     assert is_well_balanced(star(4))  # removing hub: {1,1,1} vs (n-1)/d = 1
