@@ -290,9 +290,11 @@ def _enumerate_by_degrees(
         while stack:
             rows, caps = _decode_key(stack.pop())
             first = caps.count(0)
-            # the open vertex of largest degree, the first of them on ties
-            degree = [caps[v] + rows[v].bit_count() for v in range(first, n)]
-            u = first + degree.index(max(degree))
+            u = first
+            if not regular:
+                # the open vertex of largest degree, the first of them on ties
+                degree = [caps[v] + rows[v].bit_count() for v in range(first, n)]
+                u += degree.index(max(degree))
             open_others = [
                 v for v in range(first, n) if v != u and not (rows[u] >> v) & 1
             ]

@@ -208,7 +208,7 @@ def consensus_decay_rate(
         times = np.linspace(0.0, t_end, steps + 1)
     except (MemoryError, ValueError):  # ValueError: past numpy's largest size
         raise ValueError(
-            f"t_end / dt asks for {steps:,} RK4 steps, too many to store"
+            f"t_end / dt asks for {steps:.3g} RK4 steps, too many to store"
         ) from None
     L = laplacian(g)
     norms[0] = np.linalg.norm(v)

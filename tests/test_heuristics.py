@@ -54,22 +54,89 @@ def test_connectivity_arrives_at_tree_size_then_monotone():
     assert is_connected(tr.final)
 
 
-def _count_solves(monkeypatch):
-    calls = {"eigh": 0, "eigvalsh": 0}
-    for name in calls:
+def _count_solves(monkeypatch, n=None):
+    # eigh on an n x n matrix is a dense solve; the warm solver's
+    # Rayleigh-Ritz problems, at most (n - 1) x (n - 1), count as "ritz"
+    calls = {"eigh": 0, "eigvalsh": 0, "ritz": 0}
+    for name in ("eigh", "eigvalsh"):
 
-        def counted(*args, _name=name, _solve=getattr(np.linalg, name), **kwargs):
-            calls[_name] += 1
-            return _solve(*args, **kwargs)
+        def counted(a, *args, _name=name, _solve=getattr(np.linalg, name), **kwargs):
+            small = _name == "eigh" and n is not None and len(a) < n
+            calls["ritz" if small else _name] += 1
+            return _solve(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
     return calls
 
 
 def test_one_eigendecomposition_per_step(monkeypatch):
-    calls = _count_solves(monkeypatch)
+    # n dense solves while the graph is disconnected, the last of them on
+    # the step that connects it; after that the warm solver needs none
+    calls = _count_solves(monkeypatch, n=12)
     edge_augmentation(12, 30)
-    assert calls == {"eigh": 31, "eigvalsh": 0}  # m + 1 solves
+    assert calls["eigh"] == 12 and calls["eigvalsh"] == 0
+    assert calls["ritz"] >= 30 - 11  # at least one iteration per warm step
+
+
+def _replay(n, steps):
+    """Check a trace against dense eigh on every prefix.
+
+    A row with fewer than n - 1 edges reports 0.0; any other agrees with
+    dense eigh to 1e-11 relative.  Where lambda_3 - lambda_2 > 1e-6 the next
+    pair is within 1e-9 of the largest |v_i - v_j| over the non-edges.
+    """
+    L = np.zeros((n, n))
+    for k, ((i, j), lam) in enumerate(steps):
+        L[i, j] = L[j, i] = -1.0
+        L[i, i] += 1.0
+        L[j, j] += 1.0
+        vals, vecs = np.linalg.eigh(L)
+        if k < n - 2:
+            assert lam == 0.0 and abs(vals[1]) <= 1e-9
+        else:
+            assert abs(lam - vals[1]) <= 1e-11 * vals[1], (k, lam, vals[1])
+        if k + 1 == len(steps) or vals[2] - vals[1] <= 1e-6:
+            continue
+        v = vecs[:, 1]
+        diff = np.abs(v[:, None] - v[None, :])
+        diff[np.tril_indices(n)] = -1.0
+        diff[L < 0] = -1.0
+        a, b = steps[k + 1][0]
+        assert diff[a, b] >= diff.max() - 1e-9, (k, (a, b))
+
+
+@pytest.mark.parametrize(
+    "n, m", [(2, 1), (4, 6), (5, 10), (12, 30), (30, 120), (60, 300)]
+)
+def test_warm_trace_replays_against_dense_eigh(monkeypatch, n, m):
+    # below n = 17 the Krylov basis would pass n - 1 columns; it is cut to
+    # fit, so every Rayleigh-Ritz problem stays smaller than n
+    calls = _count_solves(monkeypatch, n=n)
+    tr = edge_augmentation(n, m)
+    assert calls["eigh"] == n  # no rescue
+    monkeypatch.undo()
+    _replay(n, tr.steps)
+
+
+def test_warm_solver_rescue(monkeypatch):
+    # the first certificate fails: that step takes a dense eigh instead, and
+    # the warm solver starts again from it
+    n, m = 30, 120
+    cholesky = np.linalg.cholesky
+    failed = []
+
+    def fail_once(a):
+        if not failed:
+            failed.append(len(a))
+            raise np.linalg.LinAlgError("not positive definite")
+        return cholesky(a)
+
+    calls = _count_solves(monkeypatch, n=n)
+    monkeypatch.setattr(np.linalg, "cholesky", fail_once)
+    tr = edge_augmentation(n, m)
+    assert failed == [n] and calls["eigh"] == n + 1
+    monkeypatch.undo()
+    _replay(n, tr.steps)
 
 
 def test_no_duplicate_edges_and_determinism():
@@ -101,7 +168,7 @@ def test_augmentation_rejects_bad_input(monkeypatch):
             edge_augmentation(n, m)
     with pytest.raises(ValueError, match="vertex count"):
         compare_families(4097, [4096])
-    assert calls == {"eigh": 0, "eigvalsh": 0}
+    assert calls == {"eigh": 0, "eigvalsh": 0, "ritz": 0}
 
 
 def test_largest_bipartite_part():
@@ -131,11 +198,12 @@ def test_compare_families_rows():
 
 
 def test_compare_families_reads_one_trace(monkeypatch):
-    # the trace to m edges is a prefix of the trace to the largest budget
+    # the trace to m edges is a prefix of the trace to the largest budget,
+    # so one trace, with its n dense solves, answers every budget
     n, budgets = 14, [20, 13, 28, 21]
-    calls = _count_solves(monkeypatch)
+    calls = _count_solves(monkeypatch, n=n)
     cmp = compare_families(n, budgets)
-    assert calls["eigh"] == max(budgets) + 1
+    assert calls["eigh"] == n
     for row in cmp.rows:
         alone = edge_augmentation(n, row.m).steps[-1][1]
         assert row.augmented.hex() == alone.hex()

@@ -274,9 +274,13 @@ def test_consensus_rejects_bad_input():
     # a billion steps: rejected before their norms are allocated
     with pytest.raises(ValueError, match="too fine"):
         consensus_decay_rate(g, u0, t_end=1.0, dt=1e-9)
-    # 1e15 steps at a stable dt: 8 PB of norms cannot be allocated
-    with pytest.raises(ValueError, match="too many to store"):
-        consensus_decay_rate(g, u0, t_end=1e13, dt=0.01)
+    # 1e15 steps at a stable dt: 8 PB of norms cannot be allocated, and
+    # 1e302 steps are past numpy's largest array; the count reads in .3g
+    for t_end, count in ((1e13, "1e+15"), (1e300, "1e+302")):
+        with pytest.raises(ValueError, match="too many to store") as err:
+            consensus_decay_rate(g, u0, t_end=t_end, dt=0.01)
+        assert f" {count} RK4 steps" in str(err.value)
+        assert len(str(err.value)) < 80
     with pytest.raises(ValueError):
         consensus_decay_rate(
             from_edges(4, [(0, 1), (2, 3)]), u0, t_end=1.0, dt=0.01
