@@ -50,11 +50,11 @@ class FamilyComparison:
     rows: tuple[FamilyRow, ...]
 
 
-# The warm solver edge_augmentation runs once the graph is connected.  Block
-# and depth were measured at n = 200, m = 1200: two carried vectors and eight
-# blocks took 2.7k Rayleigh-Ritz iterations and 111 inversions of M; four
-# and four took 3.5k and 449, and ran 1.4 times as long.  No step took more
-# than 6 iterations there, nor at n = 100, 60 and 150 with 6n to 17n edges
+# The warm steps of _Fiedler.  Block and depth were measured at n = 200,
+# m = 1200: two carried vectors and eight blocks took 2.7k Rayleigh-Ritz
+# iterations and 111 inversions of M; four and four took 3.5k and 449, and
+# ran 1.4 times as long.  No step took more than 6 iterations there, nor at
+# n = 100, 60 and 150 with 6n to 17n edges
 _BLOCK = 2  # Ritz vectors carried from one step to the next
 _DEPTH = 8  # Krylov blocks X, M^-1 X, ..., M^-7 X
 _SLOW = 4  # a step that takes this many iterations rebuilds M^-1
@@ -63,30 +63,40 @@ _RESIDUAL = 10.0 * np.finfo(float).eps  # stopping residual, over ||A|| = n
 _MARGIN = 1e-9  # the certificate: no eigenvalue below theta_0 - _MARGIN
 
 
-class _WarmFiedler:
-    """lambda_2 and a Fiedler vector of a connected graph that gains edges.
+class _Fiedler:
+    """lambda_2 and a Fiedler vector of a graph that gains edges from empty.
 
-    A = L + 11^T has the spectrum of L with the constant vector's 0 moved to
-    n, so its lowest eigenpair is lambda_2 and a Fiedler vector.  M^-1 =
-    (A - mu I)^-1 is kept for a mu below lambda_2.  An edge adds z z^T to A
-    (z = e_i - e_j), so Sherman-Morrison updates M^-1 in O(n^2), and since
-    lambda_2 never falls, M stays positive definite.
+    A = L + 11^T, all ones on the empty graph, has the spectrum of L with
+    the constant vector's 0 moved to n, so on a connected graph its lowest
+    eigenpair is lambda_2 and a Fiedler vector.  Greedy augmentation is
+    connected exactly from its (n-1)th edge (see edge_augmentation), so the
+    edge count tells the steps apart.  One dense branch answers every step
+    up to the connecting one, and any step whose certificate fails: ``eigh``
+    of A - 1, which is L bit for bit, reporting 0.0 below n - 1 edges.  Its
+    pair seeds M^-1 = (A - mu I)^-1, for a mu below lambda_2, when the next
+    edge arrives, so a trace that ends on a dense step builds no inverse.
+    Each later edge adds z z^T to A (z = e_i - e_j), so Sherman-Morrison
+    updates M^-1 in O(n^2), and since lambda_2 never falls, M stays positive
+    definite.
     """
 
-    def __init__(self, L: np.ndarray, vals: np.ndarray, vecs: np.ndarray):
-        n = len(L)
-        self.A = L + 1.0
+    def __init__(self, n: int):
+        self.A = np.ones((n, n))
         self.eye = np.eye(n)
         self.tol = _RESIDUAL * n
-        # n >= 3 (K_2 has no later step), and the basis keeps at most n - 1
-        # columns, the dimension of the complement of the constant vector
+        self.edges = 0
+        self.seed = None  # the last dense (vals, vecs), not yet in M^-1
+        # the basis keeps at most n - 1 columns, the dimension of the
+        # complement of the constant vector (K_2 has no warm step to use k)
         self.k = min(_BLOCK, (n - 1) // 2)
-        self.depth = min(_DEPTH, (n - 1) // self.k)
-        self._reseed(vals, vecs)
+        self.depth = min(_DEPTH, (n - 1) // max(self.k, 1))
 
-    def _reseed(self, vals: np.ndarray, vecs: np.ndarray) -> None:
-        self.X = vecs[:, 1 : 1 + self.k]
-        self._rebuild(vals[1:])
+    def dense(self) -> tuple[float, np.ndarray]:
+        """lambda_2 and a second eigenvector of L from one dense ``eigh``."""
+        vals, vecs = np.linalg.eigh(self.A - 1.0)
+        self.seed = vals, vecs
+        lam2 = float(vals[1]) if self.edges >= len(self.A) - 1 else 0.0
+        return lam2, vecs[:, 1]
 
     def _rebuild(self, theta: np.ndarray) -> None:
         # theta[0] is a certified lambda_2; mu goes below it by half the gap
@@ -97,11 +107,21 @@ class _WarmFiedler:
 
     def add_edge(self, i: int, j: int) -> tuple[float, np.ndarray]:
         """Add edge (i, j); return the new lambda_2 and a Fiedler vector."""
-        A, X, Minv, k = self.A, self.X, self.Minv, self.k
+        A, k = self.A, self.k
+        warm = self.edges >= len(A) - 1
+        if warm and self.seed is not None:
+            vals, vecs = self.seed
+            self.seed = None
+            self.X = vecs[:, 1 : 1 + k]
+            self._rebuild(vals[1:])
         A[i, j] -= 1.0
         A[j, i] -= 1.0
         A[i, i] += 1.0
         A[j, j] += 1.0
+        self.edges += 1
+        if not warm:
+            return self.dense()
+        X, Minv = self.X, self.Minv
         w = Minv[:, i] - Minv[:, j]
         Minv -= np.outer(w, w / (1.0 + w[i] - w[j]))
         AX = A @ X
@@ -131,9 +151,7 @@ class _WarmFiedler:
             except np.linalg.LinAlgError:
                 certified = False
         if not certified:  # the rescue: one dense solve, and a fresh start
-            vals, vecs = np.linalg.eigh(A - 1.0)
-            self._reseed(vals, vecs)
-            return float(vals[1]), vecs[:, 1]
+            return self.dense()
         self.X = X
         if it >= _SLOW:
             self._rebuild(theta)
@@ -145,39 +163,39 @@ def edge_augmentation(n: int, m: int) -> AugmentationTrace:
 
     Each step takes a second eigenvector v of the current Laplacian and adds
     the non-adjacent pair maximizing |v_i - v_j|, a value that is the same
-    for v and -v, ties to the lexicographically smallest pair.  While the
-    graph is disconnected (components are counted over the added edges) that
-    eigenvector is a kernel direction separating components, taken from a
-    dense ``eigh``, so the heuristic first stitches components together, and
-    the step reports lambda_2 = 0.0.  The step that connects the graph, its
-    (n-1)th, reports the dense value and seeds a warm solver that answers
-    every later step without a dense eigensolve: a Sherman-Morrison update
-    of (L + 11^T - mu I)^-1 for the new edge, then block Krylov Rayleigh-Ritz
-    iterations from the last step's Ritz vectors until the residual of the
-    lowest pair is a small multiple of eps * n.  A Cholesky factorization of
+    for v and -v, ties to the lexicographically smallest pair.  Each of the
+    first n - 1 steps joins two components, so the graph is connected
+    exactly from its (n-1)th edge.  While it is disconnected, v is a unit
+    kernel vector of L, so it is constant within each component up to
+    rounding; the one ``eigh`` returns is not the constant vector, and its
+    spread across components was over 1/sqrt(n) on every disconnected step
+    of the traces for n = 2..120, 200 and 300.  So the largest gap falls on
+    a pair from two components.  One dense branch, an ``eigh`` of the
+    Laplacian, answers those steps, which report lambda_2 = 0.0, the
+    connecting step, which reports the dense value, and any later step the
+    warm solver cannot certify.  Every other step takes no dense
+    eigensolve: a Sherman-Morrison update of (L + 11^T - mu I)^-1 for the
+    new edge, then block Krylov Rayleigh-Ritz iterations from the last
+    step's Ritz vectors until the residual of the lowest pair is a small
+    multiple of eps * n.  A Cholesky factorization of
     L + 11^T - (lambda_2 - 1e-9) I certifies that no eigenvalue lies further
-    below the reported lambda_2.  If it fails, or the iterations stall, one
-    dense ``eigh`` answers that step instead.  Once connected, the
-    connectivity never decreases along the trace.  Near-ties in |v_i - v_j|
-    round as the vector came out, so the pairs after the first connected
-    steps need not be those a dense solve on every step would pick.  The
-    steps are deterministic, so the trace to m edges is a prefix of the
-    trace to any larger budget.
+    below the reported lambda_2; if it fails, or the iterations stall, the
+    dense branch answers that step.  Once connected, the connectivity never
+    decreases along the trace.  Near-ties in |v_i - v_j| round as the
+    vector came out, so the pairs after the first connected steps need not
+    be those a dense solve on every step would pick.  The steps are
+    deterministic, so the trace to m edges is a prefix of the trace to any
+    larger budget.
     """
     if not 2 <= n <= MAX_VERTICES:
         raise ValueError(f"vertex count must be in 2..{MAX_VERTICES}, got {n}")
     if not 0 <= m <= n * (n - 1) // 2:
         raise ValueError("edge budget exceeds the complete graph")
-    L = np.zeros((n, n))
+    solver = _Fiedler(n)
     # the diagonal, the lower triangle and the edges hold no candidate pair
     taken = np.tri(n, dtype=bool)
-    component = np.arange(n)
-    components = n
-    warm = None
     steps = []
-    prev_lam2 = 0.0
-    vals, vecs = np.linalg.eigh(L)
-    v = vecs[:, 1]
+    prev_lam2, v = solver.dense()  # 0.0 on the empty graph
     for _ in range(m):
         diff = np.subtract.outer(v, v)
         np.abs(diff, out=diff)
@@ -186,23 +204,7 @@ def edge_augmentation(n: int, m: int) -> AugmentationTrace:
         flat = int(np.argmax(diff))  # first maximum in row-major order:
         i, j = divmod(flat, n)  # lexicographically smallest tie
         taken[i, j] = True
-        if components == 1:
-            if warm is None:  # seeded from the connecting step's eigh
-                warm = _WarmFiedler(L, vals, vecs)
-            lam2, v = warm.add_edge(i, j)
-        else:
-            L[i, j] = L[j, i] = -1.0
-            L[i, i] += 1.0
-            L[j, j] += 1.0
-            a, b = component[i], component[j]
-            if a != b:
-                component[component == b] = a
-                components -= 1
-            # one eigh per disconnected graph: it gives the next pick's vector,
-            # and on the connecting step lambda_2 and the warm solver's seed
-            vals, vecs = np.linalg.eigh(L)
-            v = vecs[:, 1]
-            lam2 = float(vals[1]) if components == 1 else 0.0
+        lam2, v = solver.add_edge(i, j)
         if lam2 < prev_lam2 - 1e-9:
             raise ArithmeticError(
                 f"connectivity decreased from {prev_lam2} to {lam2}"

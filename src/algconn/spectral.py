@@ -201,15 +201,16 @@ def consensus_decay_rate(
     v = u0 - u0.mean()
     if np.linalg.norm(v) < 1e-300:
         raise ValueError("initial state is already consensus")
-    steps = max(4, math.ceil(t_end / dt))
-    h = t_end / steps
+    steps = t_end / dt  # inf past the largest float
     try:
+        steps = max(4, math.ceil(steps))
         norms = np.empty(steps + 1)
         times = np.linspace(0.0, t_end, steps + 1)
-    except (MemoryError, ValueError):  # ValueError: past numpy's largest size
+    except (MemoryError, OverflowError, ValueError):  # ceil(inf), numpy's size
         raise ValueError(
             f"t_end / dt asks for {steps:.3g} RK4 steps, too many to store"
         ) from None
+    h = t_end / steps
     L = laplacian(g)
     norms[0] = np.linalg.norm(v)
     for s in range(steps):

@@ -328,6 +328,7 @@ def test_usage_errors_exit_1(capsys):
     messages = {
         "1e-9": "too fine",
         "1e300": "t_end / dt asks for",
+        "1e308": "t_end / dt asks for inf RK4 steps",
         "4,x": "--m-list: invalid literal for int() with base 10: 'x'",
     }
     for argv in (
@@ -351,6 +352,8 @@ def test_usage_errors_exit_1(capsys):
         ["consensus", "A_", "--dt", "1e-9"],
         # 2.5e301 steps: past numpy's largest array, not only past memory
         ["consensus", "A_", "--t-end", "1e300"],
+        # t_end / dt is past the largest float
+        ["consensus", "A_", "--t-end", "1e308", "--dt", "0.001"],
         ["compare", "-n", "5", "--m-list", "4,x"],
         # parse errors: each command takes only the options it reads
         ["verify", "k2", "-n", "abc"],

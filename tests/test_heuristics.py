@@ -54,11 +54,29 @@ def test_connectivity_arrives_at_tree_size_then_monotone():
     assert is_connected(tr.final)
 
 
+def test_first_steps_join_two_components():
+    # the solver tells disconnected steps by the edge count alone: each of
+    # the first n - 1 greedy edges must join two components
+    for n in [*range(2, 41), 120]:
+        root = list(range(n))
+
+        def find(x):
+            while root[x] != x:
+                x = root[x]
+            return x
+
+        for (i, j), _ in edge_augmentation(n, n - 1).steps:
+            a, b = find(i), find(j)
+            assert a != b, (n, i, j)
+            root[a] = b
+
+
 def _count_solves(monkeypatch, n=None):
     # eigh on an n x n matrix is a dense solve; the warm solver's
-    # Rayleigh-Ritz problems, at most (n - 1) x (n - 1), count as "ritz"
-    calls = {"eigh": 0, "eigvalsh": 0, "ritz": 0}
-    for name in ("eigh", "eigvalsh"):
+    # Rayleigh-Ritz problems, at most (n - 1) x (n - 1), count as "ritz";
+    # "inv" counts the inverses it builds
+    calls = {"eigh": 0, "eigvalsh": 0, "ritz": 0, "inv": 0}
+    for name in ("eigh", "eigvalsh", "inv"):
 
         def counted(a, *args, _name=name, _solve=getattr(np.linalg, name), **kwargs):
             small = _name == "eigh" and n is not None and len(a) < n
@@ -76,6 +94,16 @@ def test_one_eigendecomposition_per_step(monkeypatch):
     edge_augmentation(12, 30)
     assert calls["eigh"] == 12 and calls["eigvalsh"] == 0
     assert calls["ritz"] >= 30 - 11  # at least one iteration per warm step
+
+
+@pytest.mark.parametrize("n", [3, 12, 30])
+def test_warm_solver_seeds_lazily(monkeypatch, n):
+    # the connecting step's eigh seeds M^-1 only when the next edge comes
+    calls = _count_solves(monkeypatch, n=n)
+    edge_augmentation(n, n - 1)
+    assert calls["eigh"] == n and calls["inv"] == 0
+    edge_augmentation(n, n)
+    assert calls["eigh"] == 2 * n and calls["inv"] == 1
 
 
 def _replay(n, steps):
@@ -168,7 +196,7 @@ def test_augmentation_rejects_bad_input(monkeypatch):
             edge_augmentation(n, m)
     with pytest.raises(ValueError, match="vertex count"):
         compare_families(4097, [4096])
-    assert calls == {"eigh": 0, "eigvalsh": 0, "ritz": 0}
+    assert calls == {"eigh": 0, "eigvalsh": 0, "ritz": 0, "inv": 0}
 
 
 def test_largest_bipartite_part():

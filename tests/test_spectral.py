@@ -274,9 +274,10 @@ def test_consensus_rejects_bad_input():
     # a billion steps: rejected before their norms are allocated
     with pytest.raises(ValueError, match="too fine"):
         consensus_decay_rate(g, u0, t_end=1.0, dt=1e-9)
-    # 1e15 steps at a stable dt: 8 PB of norms cannot be allocated, and
-    # 1e302 steps are past numpy's largest array; the count reads in .3g
-    for t_end, count in ((1e13, "1e+15"), (1e300, "1e+302")):
+    # 1e15 steps at a stable dt: 8 PB of norms cannot be allocated,
+    # 1e302 steps are past numpy's largest array, and 1e308 / 0.01 is past
+    # the largest float; the count reads in .3g
+    for t_end, count in ((1e13, "1e+15"), (1e300, "1e+302"), (1e308, "inf")):
         with pytest.raises(ValueError, match="too many to store") as err:
             consensus_decay_rate(g, u0, t_end=t_end, dt=0.01)
         assert f" {count} RK4 steps" in str(err.value)
