@@ -8,10 +8,14 @@ and this module is both the fallback and the reference the extension is
 tested against.
 
 Graphs are passed as ``(n, rows)`` where ``rows[i]`` is an integer bitmask of
-the neighbours of vertex ``i``.  The entry points take ``1 <= n <= 64`` and
-raise ``ValueError`` otherwise, at the call and with the compiled kernels'
-message; a short ``rows`` or ``colors`` or a neighbour ``>= n`` raises
-``IndexError``.
+the neighbours of vertex ``i``.  The labeling holds each refinement cell as
+a bitmask of its vertices too, as ``_speedups.c`` does, so a splitter of
+one or two vertices splits a cell by mask operations, and ``canon_key``
+writes its rows from the best leaf, which relabeled them to build its code.
+
+The entry points take ``1 <= n <= 64`` and raise ``ValueError`` otherwise,
+at the call and with the compiled kernels' message; a short ``rows`` or
+``colors`` or a neighbour ``>= n`` raises ``IndexError``.
 """
 
 from __future__ import annotations
@@ -20,12 +24,20 @@ from __future__ import annotations
 def _refine(adj, cells, stable):
     """Equitable refinement of an ordered partition.
 
-    A cell is a tuple of its vertices in ascending order.  Cells are split
-    by the count of neighbours inside each splitter cell, pieces ordered by
-    ascending count.  Both the splitting key and the piece order are
-    label-invariant, so isomorphic inputs refine to corresponding
+    A cell is the bitmask of its vertices, as in ``_speedups.c``.  Cells are
+    split by the count of neighbours inside each splitter cell, pieces
+    ordered by ascending count.  Both the splitting key and the piece order
+    are label-invariant, so isomorphic inputs refine to corresponding
     partitions.  Splitters are tried in cell order, and the scan restarts at
     the first cell after every split.
+
+    Most splitters have one or two vertices, and those split a cell by mask
+    operations, with no loop over its vertices.  A one-vertex splitter {s}
+    cuts the count-0 piece ``cell & ~adj[s]`` and then the count-1 piece
+    ``cell & adj[s]``; a two-vertex splitter {s, t} cuts the count-0, 1 and
+    2 pieces by ``adj[s] | adj[t]``, ``adj[s] ^ adj[t]`` and
+    ``adj[s] & adj[t]``.  A larger splitter groups each cell's vertices by
+    their counts.
 
     ``stable`` holds cells against which every cell is already uniform; it
     is updated in place.  Such a cell cannot split any cell of this
@@ -45,22 +57,48 @@ def _refine(adj, cells, stable):
             si += 1
             continue
         stable.add(splitter)
-        smask = 0
-        for v in splitter:
-            smask |= 1 << v
         new_cells = None  # started at the first cell that splits
-        for ci, cell in enumerate(cells):
-            if len(cell) > 1:
-                groups = {}
-                for v in cell:
-                    groups.setdefault((adj[v] & smask).bit_count(), []).append(v)
-                if len(groups) > 1:
+        high = splitter & (splitter - 1)  # the splitter less its lowest vertex
+        if high & (high - 1):  # three vertices or more
+            for ci, cell in enumerate(cells):
+                if cell & (cell - 1):
+                    groups = {}
+                    rest = cell
+                    while rest:
+                        low = rest & -rest
+                        k = (adj[low.bit_length() - 1] & splitter).bit_count()
+                        groups[k] = groups.get(k, 0) | low
+                        rest ^= low
+                    if len(groups) > 1:
+                        if new_cells is None:
+                            new_cells = cells[:ci]
+                        new_cells += [groups[k] for k in sorted(groups)]
+                        continue
+                if new_cells is not None:
+                    new_cells.append(cell)
+        elif high:  # two vertices: two is the count-2 piece, hit ^ two count 1
+            a = adj[high.bit_length() - 1]
+            b = adj[(splitter ^ high).bit_length() - 1]
+            row, both = a | b, a & b
+            for ci, cell in enumerate(cells):
+                hit = cell & row
+                two = hit & both
+                if hit and (hit != cell or two and two != cell):
                     if new_cells is None:
                         new_cells = cells[:ci]
-                    new_cells += [tuple(groups[key]) for key in sorted(groups)]
-                    continue
-            if new_cells is not None:
-                new_cells.append(cell)
+                    new_cells += [p for p in (cell ^ hit, hit ^ two, two) if p]
+                elif new_cells is not None:
+                    new_cells.append(cell)
+        else:  # one vertex: hit is the count-1 piece
+            row = adj[splitter.bit_length() - 1]
+            for ci, cell in enumerate(cells):
+                hit = cell & row
+                if hit and hit != cell:
+                    if new_cells is None:
+                        new_cells = cells[:ci]
+                    new_cells += (cell ^ hit, hit)
+                elif new_cells is not None:
+                    new_cells.append(cell)
         if new_cells is None:
             si += 1
         else:
@@ -69,19 +107,29 @@ def _refine(adj, cells, stable):
     return cells
 
 
-def _twins(adj, cell):
-    """Whether the vertices of ``cell`` are twins.
+def _twins(adj, vs):
+    """Whether the vertices ``vs`` of a cell are twins.
 
     Twins have the same neighbours, which makes the cell a coclique, or the
     same closed neighbourhoods, which makes it a clique.  Either way they
     share their neighbours outside the cell, and every permutation of the
     cell, fixing all other vertices, is an automorphism.
     """
-    row = adj[cell[0]]
-    if all(adj[v] == row for v in cell):
+    row = adj[vs[0]]
+    if all(adj[v] == row for v in vs):
         return True
-    row |= 1 << cell[0]
-    return all(adj[v] | 1 << v == row for v in cell)
+    row |= 1 << vs[0]
+    return all(adj[v] | 1 << v == row for v in vs)
+
+
+def _vertices(cell):
+    """The vertices of a cell bitmask, in ascending order."""
+    out = []
+    while cell:
+        low = cell & -cell
+        out.append(low.bit_length() - 1)
+        cell ^= low
+    return out
 
 
 def _close(orbit, frontier, autos, prefix):
@@ -103,7 +151,10 @@ def canon_perm(n, rows, colors=None):
     Returns a tuple ``order`` with ``order[k]`` = the original vertex placed
     at canonical position ``k``.  Two graphs receive identical relabeled
     adjacency exactly when they are isomorphic (colour-preservingly, if
-    colours are given).
+    colours are given).  The search runs in ``_best_leaf``; its partitions
+    are lists of cell bitmasks, refined by ``_refine``, and a node
+    individualizes each vertex v of its first non-singleton cell in
+    ascending order, as the cell ``1 << v`` before the rest of the cell.
 
     The search minimizes, over the individualization-refinement tree, the
     pair (sequence of refined cell-size tuples, adjacency code of the leaf
@@ -138,27 +189,36 @@ def canon_perm(n, rows, colors=None):
     only images of leaves of the first child's subtree, and come after it in
     depth-first order, so none holds the first minimal leaf.
     """
+    return _best_leaf(n, rows, colors)[0]
+
+
+def _best_leaf(n, rows, colors):
+    """The search of ``canon_perm``: the best leaf's order and relabeled rows.
+
+    ``rows[k]`` of the result is the bitmask of the canonical positions of
+    the neighbours of ``order[k]``.  Each leaf relabels every row to build
+    its code, so the best leaf's rows come with it.
+    """
     if not 1 <= n <= 64:
         raise ValueError("the kernels support 1 <= n <= 64")
     adj = rows
     if colors is None:
-        cells = [tuple(range(n))]
+        cells = [(1 << n) - 1]
     else:
         by = {}
         for v in range(n):
-            by.setdefault(colors[v], []).append(v)
-        cells = [tuple(by[c]) for c in sorted(by)]
+            by[colors[v]] = by.get(colors[v], 0) | 1 << v
+        cells = [by[c] for c in sorted(by)]
 
     best_chunks = []  # the chunk path of the best leaf, written as found
-    best_code = None
-    best_order = None
+    best_code = best_order = best_rows = None
     autos = []  # (permutation, bitmask of its fixed points)
 
     def rec(cells, stable, depth, tied, prefix):
         # prefix: bitmask of the vertices individualized on the way here
-        nonlocal best_code, best_order
+        nonlocal best_code, best_order, best_rows
         cells = _refine(adj, cells, stable)
-        chunk = tuple(map(len, cells))
+        chunk = tuple(map(int.bit_count, cells))
         if tied:
             bc = best_chunks[depth]
             if chunk > bc:
@@ -169,17 +229,14 @@ def canon_perm(n, rows, colors=None):
             # is the new best, and its path starts with this one
             del best_chunks[depth:]
             best_chunks.append(chunk)
-        target = -1
-        for ci, cell in enumerate(cells):
-            if len(cell) > 1:
-                target = ci
-                break
-        if target < 0:
-            order = tuple(c[0] for c in cells)
+        if len(cells) == n:  # discrete: a leaf
+            order = tuple(c.bit_length() - 1 for c in cells)
             pos = [0] * n
             for k, v in enumerate(order):
                 pos[v] = k
-            # code[k]: the neighbours of order[k] among positions < k
+            # relabeled[k]: the neighbours of order[k] by canonical position;
+            # code[k]: those among positions < k
+            relabeled = []
             code = []
             for k, v in enumerate(order):
                 row = adj[v]
@@ -188,10 +245,11 @@ def canon_perm(n, rows, colors=None):
                     low = row & -row
                     c |= 1 << pos[low.bit_length() - 1]
                     row ^= low
+                relabeled.append(c)
                 code.append(c & ((1 << k) - 1))
             code = tuple(code)
             if not tied or code < best_code:
-                best_code, best_order = code, order
+                best_code, best_order, best_rows = code, order, relabeled
             elif code == best_code:
                 a = [0] * n
                 fixed = 0
@@ -201,12 +259,16 @@ def canon_perm(n, rows, colors=None):
                         fixed |= 1 << v
                 autos.append((tuple(a), fixed))
             return
+        target = 0  # the first cell of two vertices or more
+        while not cells[target] & (cells[target] - 1):
+            target += 1
         cell = cells[target]
-        twin = _twins(adj, cell)
+        vs = _vertices(cell)
+        twin = _twins(adj, vs)
         if twin:
             # every permutation of the cell is an automorphism fixing the
             # prefix, so each later child is an image of the first
-            v, w = cell[0], cell[1]
+            v, w = vs[0], vs[1]
             swap = list(range(n))
             swap[v], swap[w] = w, v
             autos.append((tuple(swap), ((1 << n) - 1) ^ (1 << v | 1 << w)))
@@ -215,15 +277,15 @@ def canon_perm(n, rows, colors=None):
         # child alone unless automorphisms were stored since the last closure
         seen = len(autos)
         orbit = set()
-        for i, v in enumerate(cell):
+        for v in vs:
             if v in orbit:
                 continue
-            rest = cell[:i] + cell[i + 1 :]
-            sub = cells[:target] + [(v,), rest] + cells[target + 1 :]
+            rest = cell ^ 1 << v
+            sub = cells[:target] + [1 << v, rest] + cells[target + 1 :]
             # every cell is uniform against the cell and, once {v} is
             # applied, against v: so against rest, which cannot split
             rec(sub, stable | {rest}, depth + 1, tied, prefix | 1 << v)
-            if twin or i == len(cell) - 1:
+            if twin or v == vs[-1]:
                 return  # later children: none, or images of this one
             tied = True
             orbit.add(v)
@@ -231,7 +293,7 @@ def canon_perm(n, rows, colors=None):
             seen = len(autos)
 
     rec(cells, set(), 0, False, 0)
-    return best_order
+    return best_order, best_rows
 
 
 def canon_key(n, rows, colors=None):
@@ -242,23 +304,16 @@ def canon_key(n, rows, colors=None):
     big-endian in ``(n + 7) // 8`` bytes.  The tail is thus the canonical
     graph itself and the colour bytes are the colours in canonical order;
     the graph searches keep keys as their states and decode both from them.
+    The rows are those the search's best leaf built for its code, written
+    out without relabeling again.
     """
-    order = canon_perm(n, rows, colors)
-    pos = [0] * n
-    for k, v in enumerate(order):
-        pos[v] = k
+    relabeled = _best_leaf(n, rows, colors)[1]
     nb = (n + 7) // 8
     out = bytearray([n])
     if colors is not None:
         out += bytes(sorted(colors))
-    for v in order:
-        row = rows[v]
-        nr = 0
-        while row:
-            low = row & -row
-            nr |= 1 << pos[low.bit_length() - 1]
-            row ^= low
-        out += nr.to_bytes(nb, "big")
+    for row in relabeled:
+        out += row.to_bytes(nb, "big")
     return bytes(out)
 
 

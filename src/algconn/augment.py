@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .families import random_regular
-from .graphs import MAX_VERTICES, Graph, from_edges
+from .graphs import MAX_VERTICES, Graph, from_edges, is_connected
 from .spectral import algebraic_connectivity
 
 
@@ -68,15 +68,17 @@ class _Fiedler:
 
     A = L + 11^T, all ones on the empty graph, has the spectrum of L with
     the constant vector's 0 moved to n, so on a connected graph its lowest
-    eigenpair is lambda_2 and a Fiedler vector.  Greedy augmentation is
-    connected exactly from its (n-1)th edge (see edge_augmentation), so the
-    edge count tells the steps apart.  One dense branch answers every step
-    up to the connecting one, and any step whose certificate fails: ``eigh``
-    of A - 1, which is L bit for bit, reporting 0.0 below n - 1 edges.  Its
-    pair seeds M^-1 = (A - mu I)^-1, for a mu below lambda_2, when the next
-    edge arrives, so a trace that ends on a dense step builds no inverse.
-    Each later edge adds z z^T to A (z = e_i - e_j), so Sherman-Morrison
-    updates M^-1 in O(n^2), and since lambda_2 never falls, M stays positive
+    eigenpair is lambda_2 and a Fiedler vector.  Greedy augmentation joins
+    two components with each of its first n - 1 edges, as its component
+    labels allow no other pair, so it is connected exactly from its (n-1)th
+    edge (see edge_augmentation), and the edge count tells the steps apart.
+    One dense branch answers every step up to the connecting one, and any
+    step whose certificate fails: ``eigh`` of A - 1, which is L bit for
+    bit, reporting 0.0 below n - 1 edges.  Its pair seeds
+    M^-1 = (A - mu I)^-1, for a mu below lambda_2, when the next edge
+    arrives, so a trace that ends on a dense step builds no inverse.  Each
+    later edge adds z z^T to A (z = e_i - e_j), so Sherman-Morrison updates
+    M^-1 in O(n^2), and since lambda_2 never falls, M stays positive
     definite.
     """
 
@@ -163,21 +165,21 @@ def edge_augmentation(n: int, m: int) -> AugmentationTrace:
 
     Each step takes a second eigenvector v of the current Laplacian and adds
     the non-adjacent pair maximizing |v_i - v_j|, a value that is the same
-    for v and -v, ties to the lexicographically smallest pair.  Each of the
-    first n - 1 steps joins two components, so the graph is connected
-    exactly from its (n-1)th edge.  While it is disconnected, v is a unit
-    kernel vector of L, so it is constant within each component up to
-    rounding; the one ``eigh`` returns is not the constant vector, and its
-    spread across components was over 1/sqrt(n) on every disconnected step
-    of the traces for n = 2..120, 200 and 300.  So the largest gap falls on
-    a pair from two components.  One dense branch, an ``eigh`` of the
-    Laplacian, answers those steps, which report lambda_2 = 0.0, the
-    connecting step, which reports the dense value, and any later step the
-    warm solver cannot certify.  Every other step takes no dense
-    eigensolve: a Sherman-Morrison update of (L + 11^T - mu I)^-1 for the
-    new edge, then block Krylov Rayleigh-Ritz iterations from the last
-    step's Ritz vectors until the residual of the lowest pair is a small
-    multiple of eps * n.  A Cholesky factorization of
+    for v and -v, ties to the lexicographically smallest pair.  While the
+    graph has fewer than n - 1 edges, a component label per vertex takes
+    the pairs inside a component out of the candidates, so each of the
+    first n - 1 steps joins two components by construction, and the graph
+    is connected exactly from its (n-1)th edge, whatever kernel vector of L
+    the eigensolver returns.  (On the LAPACK builds measured, that vector
+    comes out constant within each component and spread across them by over
+    1/sqrt(n), so the mask changes no pick there.)  One dense branch, an
+    ``eigh`` of the Laplacian, answers those steps, which report
+    lambda_2 = 0.0, the connecting step, which reports the dense value, and
+    any later step the warm solver cannot certify.  Every other step takes
+    no dense eigensolve: a Sherman-Morrison update of (L + 11^T - mu I)^-1
+    for the new edge, then block Krylov Rayleigh-Ritz iterations from the
+    last step's Ritz vectors until the residual of the lowest pair is a
+    small multiple of eps * n.  A Cholesky factorization of
     L + 11^T - (lambda_2 - 1e-9) I certifies that no eigenvalue lies further
     below the reported lambda_2; if it fails, or the iterations stall, the
     dense branch answers that step.  Once connected, the connectivity never
@@ -194,16 +196,21 @@ def edge_augmentation(n: int, m: int) -> AugmentationTrace:
     solver = _Fiedler(n)
     # the diagonal, the lower triangle and the edges hold no candidate pair
     taken = np.tri(n, dtype=bool)
+    comp = np.arange(n)  # component labels, read while disconnected
     steps = []
     prev_lam2, v = solver.dense()  # 0.0 on the empty graph
-    for _ in range(m):
+    for step in range(m):
         diff = np.subtract.outer(v, v)
         np.abs(diff, out=diff)
         np.copyto(diff, -1.0, where=taken)
+        if step < n - 1:
+            np.copyto(diff, -1.0, where=comp[:, None] == comp)
         # m <= n(n-1)/2 and each step adds a new edge, so a non-edge is left
         flat = int(np.argmax(diff))  # first maximum in row-major order:
         i, j = divmod(flat, n)  # lexicographically smallest tie
         taken[i, j] = True
+        if step < n - 1:
+            comp[comp == comp[j]] = comp[i]
         lam2, v = solver.add_edge(i, j)
         if lam2 < prev_lam2 - 1e-9:
             raise ArithmeticError(
@@ -243,7 +250,8 @@ def compare_families(n: int, m_values: Sequence[int]) -> FamilyComparison:
     One greedy trace to the largest budget gives every row's augmentation
     value.  b is the largest integer with b(n-b) <= m; the regular column
     uses d = 2m/n when that is an integer of at most 6 (skipped and flagged
-    otherwise) with sample statistics over ten fixed seeds.
+    otherwise) with sample statistics over ten fixed seeds; a disconnected
+    draw counts as 0.0, as a disconnected augmentation step does.
     """
     for m in m_values:
         if m < n - 1:
@@ -262,9 +270,10 @@ def compare_families(n: int, m_values: Sequence[int]) -> FamilyComparison:
             note = f"2m/n >= {REGULAR_MAX_D + 1}; regular column skipped"
         else:
             reg_d = 2 * m // n
+            # a disconnected draw reports 0.0, not the eigensolver's noise
+            draws = [random_regular(n, reg_d, seed) for seed in REGULAR_SEEDS]
             vals = [
-                algebraic_connectivity(random_regular(n, reg_d, seed))
-                for seed in REGULAR_SEEDS
+                algebraic_connectivity(g) if is_connected(g) else 0.0 for g in draws
             ]
             reg_mean = float(np.mean(vals))
             reg_min = float(min(vals))

@@ -54,21 +54,48 @@ def test_connectivity_arrives_at_tree_size_then_monotone():
     assert is_connected(tr.final)
 
 
+def _joins_two_components(n, steps):
+    root = list(range(n))
+
+    def find(x):
+        while root[x] != x:
+            x = root[x]
+        return x
+
+    for (i, j), _ in steps:
+        a, b = find(i), find(j)
+        if a == b:
+            return False
+        root[a] = b
+    return True
+
+
 def test_first_steps_join_two_components():
     # the solver tells disconnected steps by the edge count alone: each of
     # the first n - 1 greedy edges must join two components
     for n in [*range(2, 41), 120]:
-        root = list(range(n))
+        assert _joins_two_components(n, edge_augmentation(n, n - 1).steps), n
 
-        def find(x):
-            while root[x] != x:
-                x = root[x]
-            return x
 
-        for (i, j), _ in edge_augmentation(n, n - 1).steps:
-            a, b = find(i), find(j)
-            assert a != b, (n, i, j)
-            root[a] = b
+def test_first_steps_join_two_components_whatever_the_kernel_basis(monkeypatch):
+    # an eigensolver whose kernel vector comes out near-constant: the second
+    # column is 1/sqrt(n) plus 1e-12 of seeded noise, so |v_i - v_j| no
+    # longer tells components apart and only the component labels do
+    rng = np.random.default_rng(31)
+    eigh = np.linalg.eigh
+
+    def near_constant(a):
+        vals, vecs = eigh(a)
+        k = len(a)
+        vecs[:, 1] = 1 / np.sqrt(k) + 1e-12 * rng.standard_normal(k)
+        return vals, vecs
+
+    monkeypatch.setattr(np.linalg, "eigh", near_constant)
+    for n in (3, 4, 7, 12, 30, 60):
+        steps = edge_augmentation(n, n - 1).steps
+        assert _joins_two_components(n, steps), n
+        assert [lam2 for _, lam2 in steps[:-1]] == [0.0] * (n - 2)
+        assert steps[-1][1] > 0
 
 
 def _count_solves(monkeypatch, n=None):
@@ -246,6 +273,15 @@ def test_compare_families_skips_dense_regular():
         assert row.note == "2m/n >= 7; regular column skipped"
     (row,) = compare_families(9, [27]).rows  # d = 6 is still sampled
     assert row.regular_d == 6 and row.note == ""
+
+
+def test_compare_families_reports_disconnected_draws_as_zero():
+    # seeds 5 and 7 of random_regular(10, 2, seed) are disconnected; their
+    # lambda_2 is 0.0, not the eigensolver's -6.4e-17
+    (row,) = compare_families(10, [10]).rows
+    assert row.regular_d == 2
+    assert row.regular_min == 0.0
+    assert row.regular_min.hex() == "0x0.0p+0"
 
 
 def test_compare_families_rejects_bad_budgets():

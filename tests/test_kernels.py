@@ -6,8 +6,10 @@ a C compiler and the Python headers are present, and never against a stale
 in-tree build.  Two pure kernels are also checked against reference
 versions kept here, with no compiler needed: the free-tree walk, which
 prunes by degree and height prefix, against the unpruned walk, and the
-canonical labeling, which skips stable splitters, against the refinement
-that re-tests every splitter after each split.  Golden hashes of streams,
+canonical labeling, which skips stable splitters and splits by one- and
+two-vertex splitters with mask operations, against the refinement that
+re-tests every splitter after each split and counts every vertex on its
+own, call by call and by the orders it leads to.  Golden hashes of streams,
 and of the canonical orders of graphs made of twin cells and of
 vertex-transitive graphs, pin the canonical order itself, which the
 cross-checks cannot see change when both kernels change alike.
@@ -175,28 +177,21 @@ def test_pure_canon_of_highly_symmetric_graphs(sp):
 def _restart_refine(adj, cells, stable):
     # refinement before stable splitters: after every split, every splitter
     # is tried again from the first cell; ``stable`` is ignored.  Cells are
-    # vertex tuples, as in ``_pure._refine``, since the search keeps them in
-    # its ``stable`` sets
+    # vertex bitmasks, as in ``_pure._refine``, and every splitter, one
+    # vertex or more, splits a cell by the count of each vertex on its own
+    n = len(adj)
     while True:
         changed = False
-        for si in range(len(cells)):
-            smask = 0
-            for v in cells[si]:
-                smask |= 1 << v
+        for splitter in cells:
             new_cells = []
             for cell in cells:
-                if len(cell) == 1:
-                    new_cells.append(cell)
-                    continue
                 groups = {}
-                for v in cell:
-                    groups.setdefault((adj[v] & smask).bit_count(), []).append(v)
-                if len(groups) == 1:
-                    new_cells.append(cell)
-                else:
-                    changed = True
-                    for key in sorted(groups):
-                        new_cells.append(tuple(groups[key]))
+                for v in range(n):
+                    if cell >> v & 1:
+                        k = (adj[v] & splitter).bit_count()
+                        groups[k] = groups.get(k, 0) | 1 << v
+                changed |= len(groups) > 1
+                new_cells += [groups[k] for k in sorted(groups)]
             if changed:
                 cells = new_cells
                 break
@@ -205,6 +200,9 @@ def _restart_refine(adj, cells, stable):
 
 
 def test_stable_splitters_match_the_full_scan(monkeypatch, generator_inputs):
+    # call by call: every partition the search refines, with the stable set
+    # it holds there, refines to the full scan's partition, so the search
+    # takes the same path with either
     from algconn.families import named
 
     rng = random.Random(17)
@@ -219,9 +217,78 @@ def test_stable_splitters_match_the_full_scan(monkeypatch, generator_inputs):
         perm = list(range(g.n))
         rng.shuffle(perm)
         cases.append((g.n, _relabel(g.rows, perm), None))
-    skipping = [_pure.canon_perm(*case) for case in cases]
-    monkeypatch.setattr(_pure, "_refine", _restart_refine)
-    assert [_pure.canon_perm(*case) for case in cases] == skipping
+    refine = _pure._refine
+    calls = {"refines": 0}
+
+    def checked(adj, cells, stable):
+        out = refine(adj, cells, stable)
+        assert out == _restart_refine(adj, cells, stable)
+        calls["refines"] += 1
+        return out
+
+    monkeypatch.setattr(_pure, "_refine", checked)
+    for case in cases:
+        _pure.canon_perm(*case)
+    assert calls["refines"] > len(cases)
+
+
+def _edges(n, pairs):
+    rows = [0] * n
+    for u, v in pairs:
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    return rows
+
+
+def _mask(*vertices):
+    return sum(1 << v for v in vertices)
+
+
+def test_refine_by_one_vertex_puts_non_neighbours_first():
+    # {0} splits {1, 2, 3, 4} into its non-neighbours {2, 4} and then its
+    # neighbours {1, 3}, though 1 is the smallest vertex
+    adj = _edges(5, [(0, 1), (0, 3)])
+    cells = [_mask(0), _mask(1, 2, 3, 4)]
+    expect = [_mask(0), _mask(2, 4), _mask(1, 3)]
+    stable = set()
+    assert _pure._refine(adj, cells, stable) == expect
+    assert stable == set(expect)
+    assert _restart_refine(adj, cells, set()) == expect
+
+
+def test_refine_by_two_vertices_orders_pieces_by_count():
+    # {0, 1} splits {2, 3, 4, 5} by counts 2, 1, 1 and 0 into {5}, then
+    # {3, 4}, then {2}; after that every cell is uniform against every cell
+    adj = _edges(6, [(2, 0), (2, 1), (3, 1), (4, 0)])
+    cells = [_mask(0, 1), _mask(2, 3, 4, 5)]
+    expect = [_mask(0, 1), _mask(5), _mask(3, 4), _mask(2)]
+    stable = set()
+    assert _pure._refine(adj, cells, stable) == expect
+    assert stable == set(expect)
+    assert _restart_refine(adj, cells, set()) == expect
+
+
+def test_refine_orders_pieces_by_ascending_count():
+    # {0, 1, 2} splits {3, 4, 5, 6} by counts 3, 2, 1 and 0 into the pieces
+    # {6}, {5}, {4}, {3}; {5} and then {4} split {0, 1, 2} into singletons,
+    # non-neighbours first
+    adj = _edges(7, [(3, 0), (3, 1), (3, 2), (4, 0), (4, 1), (5, 0)])
+    cells = [_mask(0, 1, 2), _mask(3, 4, 5, 6)]
+    expect = [1 << v for v in (2, 1, 0, 6, 5, 4, 3)]
+    assert _pure._refine(adj, cells, set()) == expect
+    assert _restart_refine(adj, cells, set()) == expect
+
+
+def test_refine_keeps_a_cell_the_splitter_misses():
+    # {0} meets {3, 4, 5} and splits it, and misses {1, 2}, which stays whole
+    # in first place; {3, 4} is uniform against {0} once split off
+    adj = _edges(6, [(1, 2), (0, 3), (0, 4)])
+    cells = [_mask(1, 2), _mask(0), _mask(3, 4, 5)]
+    expect = [_mask(1, 2), _mask(0), _mask(5), _mask(3, 4)]
+    stable = set()
+    assert _pure._refine(adj, cells, stable) == expect
+    assert stable == set(expect)
+    assert _restart_refine(adj, cells, set()) == expect
 
 
 # generator, arguments, count of graph6 lines, and the sha256 of the lines,
