@@ -70,7 +70,7 @@ class _Fiedler:
     the constant vector's 0 moved to n, so on a connected graph its lowest
     eigenpair is lambda_2 and a Fiedler vector.  Greedy augmentation joins
     two components with each of its first n - 1 edges, as its component
-    labels allow no other pair, so it is connected exactly from its (n-1)th
+    mask allows no other pair, so it is connected exactly from its (n-1)th
     edge (see edge_augmentation), and the edge count tells the steps apart.
     One dense branch answers every step up to the connecting one, and any
     step whose certificate fails: ``eigh`` of A - 1, which is L bit for
@@ -166,10 +166,11 @@ def edge_augmentation(n: int, m: int) -> AugmentationTrace:
     Each step takes a second eigenvector v of the current Laplacian and adds
     the non-adjacent pair maximizing |v_i - v_j|, a value that is the same
     for v and -v, ties to the lexicographically smallest pair.  While the
-    graph has fewer than n - 1 edges, a component label per vertex takes
-    the pairs inside a component out of the candidates, so each of the
-    first n - 1 steps joins two components by construction, and the graph
-    is connected exactly from its (n-1)th edge, whatever kernel vector of L
+    graph has fewer than n - 1 edges, a standing mask of the pairs inside
+    one component, marked block by block as components merge, takes them
+    out of the candidates, so each of the first n - 1 steps joins two
+    components by construction, and the graph is connected exactly from
+    its (n-1)th edge, whatever kernel vector of L
     the eigensolver returns.  (On the LAPACK builds measured, that vector
     comes out constant within each component and spread across them by over
     1/sqrt(n), so the mask changes no pick there.)  One dense branch, an
@@ -196,7 +197,10 @@ def edge_augmentation(n: int, m: int) -> AugmentationTrace:
     solver = _Fiedler(n)
     # the diagonal, the lower triangle and the edges hold no candidate pair
     taken = np.tri(n, dtype=bool)
-    comp = np.arange(n)  # component labels, read while disconnected
+    # while disconnected: the pairs inside one component, and each vertex's
+    # component as a vertex list shared by its members
+    inside = np.eye(n, dtype=bool)
+    members = [[u] for u in range(n)]
     steps = []
     prev_lam2, v = solver.dense()  # 0.0 on the empty graph
     for step in range(m):
@@ -204,13 +208,18 @@ def edge_augmentation(n: int, m: int) -> AugmentationTrace:
         np.abs(diff, out=diff)
         np.copyto(diff, -1.0, where=taken)
         if step < n - 1:
-            np.copyto(diff, -1.0, where=comp[:, None] == comp)
+            np.copyto(diff, -1.0, where=inside)
         # m <= n(n-1)/2 and each step adds a new edge, so a non-edge is left
         flat = int(np.argmax(diff))  # first maximum in row-major order:
         i, j = divmod(flat, n)  # lexicographically smallest tie
         taken[i, j] = True
-        if step < n - 1:
-            comp[comp == comp[j]] = comp[i]
+        if step < n - 1:  # mark the merged block's pairs, O(n^2) in all
+            a, b = members[i], members[j]
+            inside[np.ix_(a, b)] = True
+            inside[np.ix_(b, a)] = True
+            a += b
+            for u in b:
+                members[u] = a
         lam2, v = solver.add_edge(i, j)
         if lam2 < prev_lam2 - 1e-9:
             raise ArithmeticError(

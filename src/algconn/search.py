@@ -16,13 +16,17 @@ deduplicates the state and gives the rows it is expanded from, and each
 isomorphism class of partial states is expanded once.  Final keys have
 all-zero colours and fixed-width big-endian rows, so sorting them sorts the
 graphs by their canonical rows, across degree sequences too.  Each child
-is labeled once and checked once against the keys seen, then pushed if it
-has open vertices or filed as a final if not.  Two exact cuts skip
-labelings whose outcome is known (McKay & Piperno, "Practical graph
-isomorphism, II", 2014): partner sets that differ only by a swap of twin
-vertices are tried once, and a finished regular graph is first labeled with
-a cheap vertex invariant as colours, so only a new graph pays for the
-labeling from one cell.  Neither changes a stream.
+with more than three open vertices is labeled once, checked once against
+the keys seen and pushed; any other child is finished and filed as a final.
+Three exact cuts skip labelings whose outcome is known (McKay & Piperno,
+"Practical graph isomorphism, II", 2014; McKay, "Isomorph-free exhaustive
+generation", J. Algorithms 26, 1998): partner sets that differ only by a
+swap of twin vertices are tried once; a child with at most three open
+vertices has at most one completion, only edges among those vertices being
+left, so it is completed in closed form and only the final is labeled; and
+a finished regular graph is first labeled with a cheap vertex invariant as
+colours, so only a new graph pays for the labeling from one cell.  None
+changes a stream.
 
 One sweep serves every check: the maximizer, the exhaustive conjecture
 checks, the sampled tree check and the cubic attainment check all take their
@@ -197,6 +201,28 @@ def _state_viable(n: int, rows, caps) -> bool:
     )
 
 
+def _complete_tail(n: int, rows, caps) -> Optional[list[int]]:
+    # the rows of the one completion of a state with one to three open
+    # vertices, or None if it has none.  Only edges among the open vertices
+    # are left: with three, a, b and c, edge ab is placed
+    # (c_a + c_b - c_c) / 2 times, which must be 0, or 1 on a non-edge, and
+    # then every cap is used up; with two, the same sum without c_c leaves
+    # only caps (1, 1) on a non-edge; one open vertex has no partner
+    ends = [v for v in range(n) if caps[v]]
+    if len(ends) < 2:
+        return None
+    total = sum(caps)
+    out = list(rows)
+    for a, b in itertools.combinations(ends, 2):
+        twice = 2 * (caps[a] + caps[b]) - total
+        if twice == 2 and not (rows[a] >> b) & 1:
+            out[a] |= 1 << b
+            out[b] |= 1 << a
+        elif twice:
+            return None
+    return out
+
+
 def _twin_predecessors(rows, caps, vertices) -> dict:
     # each vertex's predecessor in its twin class among ``vertices``: twins
     # have equal caps and equal rows apart from each other, so swapping two
@@ -258,33 +284,53 @@ def _enumerate_by_degrees(
     regular sequence every open vertex has the same degree, so u is the
     first open vertex, the one of smallest remaining capacity.
 
-    Each sequence has its own ``seen`` set.  Each viable child is keyed
-    once, checked once against ``seen``, and then pushed if it has open
-    vertices or filed in ``finals`` if not (a final, with no edges left to
-    place); no final is pushed.  Finals have all-zero colours, and with all
-    colours equal the canonical labeling is that of the uncoloured graph,
-    so the keys of different degree sequences sort together by canonical
-    rows.
+    Each sequence has its own ``seen`` set.  Each viable child with more
+    than three open vertices is keyed once, checked once against ``seen``
+    and pushed if new.  Any other viable child is a final, with no edges
+    left to place, or stands for its completion (below); the final is
+    keyed, checked against ``seen`` and filed in ``finals`` if new.  No
+    final is pushed.  Finals have all-zero colours, and with all colours
+    equal the canonical labeling is that of the uncoloured graph, so the
+    keys of different degree sequences sort together by canonical rows.
 
-    Two cuts skip labelings whose result is known, and change no stream.
+    Three cuts skip labelings whose result is known, and change no stream.
     Twin partners (equal caps, equal rows apart from each other) may be
     swapped by an automorphism that fixes the closed vertex, since neither
     twin is u or a neighbour of u.  So a partner set is tried only when it
     takes a prefix of each twin class: the lexicographically first set of
     its orbit, which is the one the full loop would have kept, so the kept
-    children come in the same order.  And a final of a regular sequence is
-    keyed by its pre-key, the key with ``_local_colours`` as colours, which
-    starts refinement from a finer partition than one cell; equal pre-keys
-    mean isomorphic graphs, so only a new one gets the uncoloured labeling
-    it is filed under.  Pre-keys share ``seen`` with the state keys, and no
-    state key equals one: a pre-key's colours are all at least 1 and its
-    rows d-regular, while a state whose colours are all at least 1 has every
-    vertex open, so every row of degree below d.
+    children come in the same order.
+
+    A child with one to three open vertices has at most one completion, so
+    labeling it dedupes nothing that its final's key does not.  Only edges
+    among the open vertices are left, and their caps fix each of them: with
+    open vertices a, b and c, edge ab is placed (c_a + c_b - c_c) / 2
+    times, which must be 0, or 1 on a non-edge.  With two, viability
+    already forces caps (1, 1) on a non-edge, and one open vertex is never
+    viable.  ``_complete_tail`` places those edges, and the completion is
+    keyed and filed as a final; a child with no completion is dropped.  The
+    completion is connected with no second viability check: a viable child
+    is connected or has at most three components, each holding an open
+    vertex, and the edges placed join them, one edge between two open
+    vertices, or at least two among three (each cap is at least 1 and the
+    caps' sum is even), which form a path through all three.  A state with
+    at most three open vertices pushes none with more, so the states with
+    more are expanded in the order the full loop expands them.
+
+    And a final of a regular sequence is keyed by its pre-key, the key
+    with ``_local_colours`` as colours, which starts refinement from a
+    finer partition than one cell; equal pre-keys mean isomorphic graphs,
+    so only a new one gets the uncoloured labeling it is filed under.
+    Pre-keys share ``seen`` with the state keys, and no state key equals
+    one: a pre-key's colours are all at least 1 and its rows d-regular,
+    while a state whose colours are all at least 1 has every vertex open,
+    so every row of degree below d.
     """
     finals = []
+    zeros = (0,) * n
     for degrees in sequences:
         regular = min(degrees) == max(degrees)
-        start = _kernels.canon_key(n, (0,) * n, degrees)
+        start = _kernels.canon_key(n, zeros, degrees)
         seen = {start}
         stack = [start]
         while stack:
@@ -311,21 +357,29 @@ def _enumerate_by_degrees(
                 new_caps[u] = 0
                 if not _state_viable(n, new_rows, new_caps):
                     continue
-                final = not any(new_caps)
-                colours = _local_colours(n, new_rows) if final and regular else new_caps
+                left = n - new_caps.count(0)
+                if left > 3:
+                    child = _kernels.canon_key(n, new_rows, new_caps)
+                    if child not in seen:
+                        seen.add(child)
+                        stack.append(child)
+                    continue
+                if left:  # the one completion stands in for the child
+                    new_rows = _complete_tail(n, new_rows, new_caps)
+                    if new_rows is None:
+                        continue
+                colours = _local_colours(n, new_rows) if regular else zeros
                 child = _kernels.canon_key(n, new_rows, colours)
                 if child in seen:
                     continue
                 seen.add(child)
-                if not final:
-                    stack.append(child)
-                    continue
                 # connected: _state_viable lets no closed component through
-                # unless it is the whole graph.  A regular final was keyed by
+                # unless it is the whole graph, and a completion joins the
+                # open vertices' components.  A regular final was keyed by
                 # its pre-key, so it is filed under its uncoloured key
-                finals.append(
-                    _kernels.canon_key(n, new_rows, new_caps) if regular else child
-                )
+                if regular:
+                    child = _kernels.canon_key(n, new_rows, zeros)
+                finals.append(child)
     for key in sorted(finals):
         yield Graph(n, _decode_key(key)[0])
 

@@ -62,17 +62,20 @@ def eigenvalues_below():
 
 
 def _unpruned_by_degrees(n, sequences, expanded):
-    """The degree-sequence generator with neither of its labeling cuts.
+    """The degree-sequence generator with none of its labeling cuts, the
+    tail included.
 
     It closes the same vertex as the generator, written out here on its
     own: the open vertex whose degree in the sequence (remaining capacity
     plus neighbours) is largest, the lowest-labeled one on ties.  Every
     viable partner set among the other open non-neighbours is labeled,
-    twins included, and every final child is labeled with its all-zero
-    capacities, pushed and popped like any state.  Each non-final key it
-    expands is appended to ``expanded``; the return value is the sorted
-    family.  It calls ``_kernels.canon_key`` at run time, so a patched
-    kernel sees its inputs.
+    twins included; a child with at most three open vertices is labeled
+    and expanded like any other, not completed in closed form; and every
+    final child is labeled with its all-zero capacities, pushed and popped
+    like any state.  Each non-final key it expands is appended to
+    ``expanded``; the return value is the sorted family.  It calls
+    ``_kernels.canon_key`` at run time, so a patched kernel sees its
+    inputs.
     """
     import itertools
 

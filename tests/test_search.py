@@ -283,14 +283,17 @@ def test_cubic_includes_named_graphs():
 
 
 def test_cubic_enumeration_work_bound(monkeypatch):
-    # one labeling per viable child that is not a twin copy, and two for a
-    # new final: 1,744 for the 85 graphs (2,625 with neither cut).  The
+    # one labeling per viable child with more than three open vertices that
+    # is not a twin copy, and two for a new final: 1,255 for the 85 graphs
+    # (1,744 when the tail, the children with at most three open vertices,
+    # is labeled too rather than completed in closed form, and 2,625 with
+    # no cut at all).  The
     # largest-degree-first order does not move it: in a regular sequence
     # every open vertex has the same degree, so the first open vertex, the
     # one of smallest remaining capacity, is closed
     calls = _count_labelings(monkeypatch)
     assert sum(1 for _ in enumerate_cubic(12)) == 85
-    assert calls["labelings"] <= 1744
+    assert calls["labelings"] <= 1255
 
 
 def test_regular_family_labels_each_graph_once_uncoloured(monkeypatch):
@@ -315,9 +318,11 @@ _GENERATOR_FAMILIES = [(enumerate_cubic, (n,)) for n in (4, 6, 8, 10, 12)] + [
 def test_generator_expands_as_the_unpruned_loop(
     monkeypatch, unpruned_by_degrees, family, args
 ):
-    # the twin cut and the final pre-keys skip only labelings: the same
-    # non-final states are expanded in the same order, and the same finals
-    # come out
+    # the twin cut, the final pre-keys and the tail skip only labelings:
+    # the loop's expanded states with more than three open vertices are
+    # expanded in the same order, and the same finals come out.  The order
+    # holds because a state with at most three open vertices pushes none
+    # with more
     expanded = []
     opened = []  # whether each decoded key has an open vertex
     real = search._decode_key
@@ -340,10 +345,94 @@ def test_generator_expands_as_the_unpruned_loop(
             lambda n, sequences: unpruned_by_degrees(n, sequences, want_expanded),
         )
         want = list(family(*args))
-    assert expanded == want_expanded
+    assert expanded == [k for k in want_expanded if _open_count(k) > 3]
     assert got == want
     # no final is pushed: each is decoded once, in the closing sort
     assert opened == [True] * len(expanded) + [False] * len(got)
+
+
+def _open_count(key):
+    return sum(1 for c in _decode_key(key)[1] if c)
+
+
+def _tail_completions(n, rows, caps):
+    # brute force: every set of new edges among the open vertices that uses
+    # up each remaining capacity exactly
+    ends = [v for v in range(n) if caps[v]]
+    pairs = [(a, b) for a, b in itertools.combinations(ends, 2) if not rows[a] >> b & 1]
+    found = []
+    for k in range(len(pairs) + 1):
+        for chosen in itertools.combinations(pairs, k):
+            left = list(caps)
+            out = list(rows)
+            for a, b in chosen:
+                left[a] -= 1
+                left[b] -= 1
+                out[a] |= 1 << b
+                out[b] |= 1 << a
+            if not any(left):
+                found.append(out)
+    return found
+
+
+def _small_tail_states():
+    # every graph on at most 6 vertices, one per isomorphism class, with
+    # every set of one to three open vertices and every cap from 1 to 3 on
+    # each (a cap of 3 has no completion among three open vertices)
+    for n in range(1, 7):
+        pairs = list(itertools.combinations(range(n), 2))
+        classes = {}
+        for mask in range(1 << len(pairs)):
+            rows = [0] * n
+            for k, (a, b) in enumerate(pairs):
+                if mask >> k & 1:
+                    rows[a] |= 1 << b
+                    rows[b] |= 1 << a
+            classes.setdefault(_kernels.canon_key(n, rows), rows)
+        for rows in classes.values():
+            for size in (1, 2, 3):
+                for ends in itertools.combinations(range(n), size):
+                    for values in itertools.product((1, 2, 3), repeat=size):
+                        caps = [0] * n
+                        for v, c in zip(ends, values):
+                            caps[v] = c
+                        yield n, rows, caps
+
+
+def test_complete_tail_matches_brute_force(monkeypatch, unpruned_by_degrees):
+    # the small states above, and every state with one to three open
+    # vertices that the unpruned loop labels in two generator runs
+    met = []
+    real = _kernels.canon_key
+
+    def record(n, rows, colors=None):
+        if colors is not None and 1 <= sum(1 for c in colors if c) <= 3:
+            met.append((n, list(rows), list(colors)))
+        return real(n, rows, colors)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(_kernels, "canon_key", record)
+        mp.setattr(
+            search,
+            "_enumerate_by_degrees",
+            lambda n, sequences: unpruned_by_degrees(n, sequences, []),
+        )
+        list(enumerate_cubic(10))
+        list(enumerate_graphs(8, 12, 2))
+    assert len(met) > 1000
+    tally = {"none": 0, "one": 0, "viable": 0}
+    for n, rows, caps in itertools.chain(_small_tail_states(), met):
+        found = _tail_completions(n, rows, caps)
+        assert len(found) <= 1, (n, rows, caps)
+        got = search._complete_tail(n, rows, caps)
+        assert got == (found[0] if found else None), (n, rows, caps)
+        tally["one" if found else "none"] += 1
+        if found and search._state_viable(n, rows, caps):
+            tally["viable"] += 1
+            assert is_connected(Graph(n, got)), (n, rows, caps)
+    # both outcomes are met, and many completions are checked for
+    # connectivity
+    assert min(tally.values()) > 1000, tally
 
 
 def test_cubic_rejects_bad_n():
@@ -383,21 +472,25 @@ def _count_labelings(monkeypatch):
 
 
 def test_graph_enumeration_work_bound(monkeypatch):
-    # one labeling per viable child that is not a twin copy, closing the
-    # open vertex of largest degree first: 2,481 calls here (3,696 with
-    # neither cut, 4,514 when the vertex of smallest remaining capacity is
-    # closed first), a bound that a generator expanding more states breaks;
+    # one labeling per viable child with more than three open vertices that
+    # is not a twin copy, and one per completed final, closing the open
+    # vertex of largest degree first: 1,642 calls here (2,481 when the tail
+    # is labeled too, 3,696 with no cut at all, and 4,514 when the tail is
+    # labeled too and the vertex of smallest remaining capacity is closed
+    # first), a bound that a generator expanding more states breaks;
     # labeling every candidate edge of every partial graph takes 66 per graph
     calls = _count_labelings(monkeypatch)
     graphs = sum(1 for _ in enumerate_graphs(8, 12, 2))
     assert graphs == 513
     assert calls["labelings"] <= 16 * graphs
-    assert calls["labelings"] <= 2481
-    # every degree sequence of 8 vertices and 12 edges: 5,859 calls (8,377
-    # with neither cut, 9,522 closing the smallest remaining capacity first)
+    assert calls["labelings"] <= 1642
+    # every degree sequence of 8 vertices and 12 edges: 3,981 calls (5,859
+    # when the tail is labeled too, 8,377 with no cut at all, and 9,522 when
+    # the tail is labeled too and the smallest remaining capacity is closed
+    # first)
     calls["labelings"] = 0
     assert sum(1 for _ in enumerate_graphs(8, 12, 0)) == 1169
-    assert calls["labelings"] <= 5859
+    assert calls["labelings"] <= 3981
 
 
 def test_graph_enumeration_contains_expected_members():
