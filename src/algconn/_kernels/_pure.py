@@ -1,17 +1,19 @@
 """Pure-Python implementations of the performance-critical kernels.
 
-Two kernels live here: canonical labeling of small graphs (individualization
-plus equitable refinement with automorphism pruning) and generation of free
-trees as level sequences.  The compiled extension module ``_speedups`` is a
-port of this module to C, with the same entry points and identical results,
-and this module is both the fallback and the reference the extension is
-tested against.
+Two kernels live here, each behind one entry point: ``canon_key``, the
+canonical labeling of small graphs (individualization plus equitable
+refinement with automorphism pruning), and ``free_tree_layouts``, the
+generation of free trees as level sequences.  The compiled extension module
+``_speedups`` is a port of this module to C, with the same entry points and
+identical results, and this module is both the fallback and the reference
+the extension is tested against.
 
 Graphs are passed as ``(n, rows)`` where ``rows[i]`` is an integer bitmask of
 the neighbours of vertex ``i``.  The labeling holds each refinement cell as
 a bitmask of its vertices too, as ``_speedups.c`` does, so a splitter of
 one or two vertices splits a cell by mask operations, and ``canon_key``
-writes its rows from the best leaf, which relabeled them to build its code.
+writes its rows from the best leaf, which relabeled them to build its code;
+the canonical order itself never leaves the search.
 
 The entry points take ``1 <= n <= 64`` and raise ``ValueError`` otherwise,
 at the call and with the compiled kernels' message; a short ``rows`` or
@@ -145,25 +147,30 @@ def _close(orbit, frontier, autos, prefix):
                 frontier.append(w)
 
 
-def canon_perm(n, rows, colors=None):
-    """Canonical vertex order of a (optionally vertex-coloured) graph.
+def canon_key(n, rows, colors=None):
+    """Bytes identifying the isomorphism class of a graph, coloured or not.
 
-    Returns a tuple ``order`` with ``order[k]`` = the original vertex placed
-    at canonical position ``k``.  Two graphs receive identical relabeled
-    adjacency exactly when they are isomorphic (colour-preservingly, if
-    colours are given).  The search runs in ``_best_leaf``; its partitions
-    are lists of cell bitmasks, refined by ``_refine``, and a node
-    individualizes each vertex v of its first non-singleton cell in
-    ascending order, as the cell ``1 << v`` before the rest of the cell.
+    Layout: one byte ``n``, the ``n`` colour values in ascending order (when
+    given), then the adjacency rows relabeled into the canonical order, each
+    packed big-endian in ``(n + 7) // 8`` bytes.  The tail is thus the
+    canonical graph itself and the colour bytes are the colours in canonical
+    order; the graph searches keep keys as their states and decode both
+    from them.  Two graphs receive identical keys exactly when they are
+    isomorphic (colour-preservingly, if colours are given).
 
-    The search minimizes, over the individualization-refinement tree, the
-    pair (sequence of refined cell-size tuples, adjacency code of the leaf
-    order), and returns the first leaf, in depth-first order, that attains
-    the minimum.  Cell-size sequences are label-invariant, which makes
-    pruning by prefix comparison exact; automorphisms discovered at repeated
-    leaves prune sibling branches via orbit closure.  An automorphism maps
-    the subtree of one child onto that of another with the same keys, so
-    pruning never skips that first minimal leaf.
+    The search's partitions are lists of cell bitmasks, refined by
+    ``_refine``, and a node individualizes each vertex v of its first
+    non-singleton cell in ascending order, as the cell ``1 << v`` before the
+    rest of the cell.  The search minimizes, over the
+    individualization-refinement tree, the pair (sequence of refined
+    cell-size tuples, adjacency code of the leaf order), and keys the graph
+    by the first leaf, in depth-first order, that attains the minimum.
+    Cell-size sequences are label-invariant, which makes pruning by prefix
+    comparison exact; automorphisms discovered at repeated leaves prune
+    sibling branches via orbit closure.  An automorphism maps the subtree of
+    one child onto that of another with the same keys, so pruning never
+    skips that first minimal leaf.  Each leaf relabels every row to build
+    its code, and the key is written from the rows of the best leaf.
 
     The best leaf's chunk path is written as the search descends.  A tied
     node has the best's chunks at every depth so far, and only compares.  An
@@ -189,22 +196,13 @@ def canon_perm(n, rows, colors=None):
     only images of leaves of the first child's subtree, and come after it in
     depth-first order, so none holds the first minimal leaf.
     """
-    return _best_leaf(n, rows, colors)[0]
-
-
-def _best_leaf(n, rows, colors):
-    """The search of ``canon_perm``: the best leaf's order and relabeled rows.
-
-    ``rows[k]`` of the result is the bitmask of the canonical positions of
-    the neighbours of ``order[k]``.  Each leaf relabels every row to build
-    its code, so the best leaf's rows come with it.
-    """
     if not 1 <= n <= 64:
         raise ValueError("the kernels support 1 <= n <= 64")
     adj = rows
     if colors is None:
         cells = [(1 << n) - 1]
     else:
+        colors = colors[:n]
         by = {}
         for v in range(n):
             by[colors[v]] = by.get(colors[v], 0) | 1 << v
@@ -293,26 +291,11 @@ def _best_leaf(n, rows, colors):
             seen = len(autos)
 
     rec(cells, set(), 0, False, 0)
-    return best_order, best_rows
-
-
-def canon_key(n, rows, colors=None):
-    """Bytes uniquely identifying the isomorphism class of the graph.
-
-    Layout: one byte ``n``, the sorted colour values (when given), then the
-    adjacency rows relabeled into the ``canon_perm`` order, each packed
-    big-endian in ``(n + 7) // 8`` bytes.  The tail is thus the canonical
-    graph itself and the colour bytes are the colours in canonical order;
-    the graph searches keep keys as their states and decode both from them.
-    The rows are those the search's best leaf built for its code, written
-    out without relabeling again.
-    """
-    relabeled = _best_leaf(n, rows, colors)[1]
     nb = (n + 7) // 8
     out = bytearray([n])
     if colors is not None:
         out += bytes(sorted(colors))
-    for row in relabeled:
+    for row in best_rows:
         out += row.to_bytes(nb, "big")
     return bytes(out)
 

@@ -1,12 +1,14 @@
 /* Compiled implementations of the performance-critical kernels.
  *
- * A port of ``_pure`` to C against the CPython API, function by function:
- * the same canonical orders, the same key bytes, the same tree layouts in
- * the same order.  ``_pure`` is the reference, and the cross-implementation
- * tests compare the two on thousands of inputs.  Everything here assumes
- * n <= 64 and keeps adjacency as one 64-bit mask per vertex; the entry
- * points check n, the lengths of ``rows`` and ``colors`` and the range of
- * every value before the search reads any of them.
+ * A port of ``_pure`` to C against the CPython API, function by function,
+ * with the same two entry points: ``canon_key`` gives the same key bytes,
+ * written from the rows of the same best leaf, and ``free_tree_layouts``
+ * the same tree layouts in the same order.  ``_pure`` is the reference, and
+ * the cross-implementation tests compare the two on thousands of inputs.
+ * Everything here assumes n <= 64 and keeps adjacency as one 64-bit mask
+ * per vertex; the entry points check n, the lengths of ``rows`` and
+ * ``colors`` and the range of every value before the search reads any of
+ * them.
  *
  * Build with ``python3 setup.py build_ext --inplace``.
  */
@@ -34,11 +36,12 @@ typedef struct {
 typedef struct {
     int n;
     u64 adj[MAXN];
-    /* the best key so far: the chunk path, written as the search descends
-     * (see rec), then the code of the leaf */
+    /* the best leaf so far: its chunk path, written as the search descends
+     * (see rec), its rows relabeled into its order, whose code is
+     * best_rows[k] & (BIT(k) - 1), and its order */
     u8 best_len[MAXN];
     u8 best_chunks[MAXN][MAXN];
-    u64 best_code[MAXN];
+    u64 best_rows[MAXN];
     u8 best_order[MAXN];
     /* every automorphism found, without a cap */
     Auto *autos;
@@ -175,28 +178,30 @@ static u64 close_orbit(const CanonCtx *S, u64 orbit, u64 frontier, u64 prefix)
  * candidate order.  An untied leaf sorts before the best, and rec has
  * written its chunk path already, so it is the new best; a tied leaf has
  * the best's chunk path, so its code decides, and an equal code makes it an
- * image of the best leaf.  Returns 0, or -1 when out of memory. */
+ * image of the best leaf.  The new best keeps its relabeled rows, which
+ * canon_key writes out.  Returns 0, or -1 when out of memory. */
 static int leaf(CanonCtx *S, const u64 *cell, int tied)
 {
     int n = S->n;
     u8 order[MAXN], pos[MAXN];
-    u64 code[MAXN];
+    u64 rows[MAXN];
     for (int k = 0; k < n; k++) {
         order[k] = (u8)__builtin_ctzll(cell[k]);
         pos[order[k]] = (u8)k;
     }
-    /* code[k]: the neighbours of order[k] among positions < k */
+    /* rows[k]: the neighbours of order[k] by canonical position; the code
+     * of position k is those among positions < k */
     for (int k = 0; k < n; k++) {
         u64 row = S->adj[order[k]], c = 0;
         for (; row; row &= row - 1)
             c |= BIT(pos[__builtin_ctzll(row)]);
-        code[k] = c & (BIT(k) - 1);
+        rows[k] = c;
     }
     int k = 0;
-    while (tied && k < n && code[k] == S->best_code[k])
+    while (tied && k < n && (rows[k] & (BIT(k) - 1)) == (S->best_rows[k] & (BIT(k) - 1)))
         k++;
-    if (!tied || (k < n && code[k] < S->best_code[k])) {
-        memcpy(S->best_code, code, n * sizeof(u64));
+    if (!tied || (k < n && (rows[k] & (BIT(k) - 1)) < (S->best_rows[k] & (BIT(k) - 1)))) {
+        memcpy(S->best_rows, rows, n * sizeof(u64));
         memcpy(S->best_order, order, n);
         return 0;
     }
@@ -214,7 +219,7 @@ static int leaf(CanonCtx *S, const u64 *cell, int tied)
     return 0;
 }
 
-/* One node of the individualization-refinement tree; see ``_pure.canon_perm``.
+/* One node of the individualization-refinement tree; see ``_pure.canon_key``.
  * The node's partition is cell[0..ncells-1] with stable flags st, refined
  * here in place: the caller builds them for this node alone.  prefix is the
  * bitmask of the vertices individualized on the way here.  Returns 0, or -1
@@ -308,35 +313,42 @@ static int rec(CanonCtx *S, u64 *cell, u8 *st, int ncells, int depth, int tied, 
     return 0;
 }
 
-/* Reads n, rows and colors into S and runs the search from the partition
- * with one cell per colour, in ascending colour order; S->best_order is the
- * canonical order.  With key_colors, colours must fit a byte and their
- * sorted values are written there.  Returns -1 with an exception set. */
-static int canon_run(CanonCtx *S, PyObject *n_obj, PyObject *rows, PyObject *colors, u8 *key_colors)
+/* Layout: one byte n, the n colour values in ascending order (when
+ * given), then the adjacency rows relabeled into the canonical order, each
+ * packed big-endian in (n + 7) / 8 bytes.  The search starts from the
+ * partition with one cell per colour, in ascending colour order, and the
+ * rows are those of the best leaf. */
+static PyObject *canon_key(PyObject *self, PyObject *args, PyObject *kwargs)
 {
+    static char *kwlist[] = {"n", "rows", "colors", NULL};
+    PyObject *n_obj, *rows, *colors = Py_None;
+    CanonCtx S;
+    (void)self;
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OO|O", kwlist, &n_obj, &rows, &colors))
+        return NULL;
     long n = PyLong_AsLong(n_obj);
     if (n == -1 && PyErr_Occurred())
-        return -1;
+        return NULL;
     if (n < 1 || n > MAXN) {
         PyErr_SetString(PyExc_ValueError, "the kernels support 1 <= n <= 64");
-        return -1;
+        return NULL;
     }
-    S->n = (int)n;
+    S.n = (int)n;
     for (int i = 0; i < n; i++) {
         PyObject *item = PySequence_GetItem(rows, i);
         if (!item)
-            return -1;
-        S->adj[i] = PyLong_AsUnsignedLongLong(item);
+            return NULL;
+        S.adj[i] = PyLong_AsUnsignedLongLong(item);
         Py_DECREF(item);
-        if (S->adj[i] == (u64)-1 && PyErr_Occurred())
-            return -1;
-        if (n < MAXN && S->adj[i] >> n) {
+        if (S.adj[i] == (u64)-1 && PyErr_Occurred())
+            return NULL;
+        if (n < MAXN && S.adj[i] >> n) {
             PyErr_Format(PyExc_IndexError, "row %d names a vertex >= n", i);
-            return -1;
+            return NULL;
         }
     }
     long long col[MAXN];
-    u8 ord[MAXN], st[MAXN] = {0};
+    u8 ord[MAXN], st[MAXN] = {0}, sorted_colors[MAXN];
     u64 cell[MAXN] = {0};
     int ncells = 0;
     for (int i = 0; i < n; i++) {
@@ -344,14 +356,14 @@ static int canon_run(CanonCtx *S, PyObject *n_obj, PyObject *rows, PyObject *col
         if (colors != Py_None) {
             PyObject *item = PySequence_GetItem(colors, i);
             if (!item)
-                return -1;
+                return NULL;
             col[i] = PyLong_AsLongLong(item);
             Py_DECREF(item);
             if (col[i] == -1 && PyErr_Occurred())
-                return -1;
-            if (key_colors && (col[i] < 0 || col[i] > 255)) {
+                return NULL;
+            if (col[i] < 0 || col[i] > 255) {
                 PyErr_SetString(PyExc_ValueError, "bytes must be in range(0, 256)");
-                return -1;
+                return NULL;
             }
         }
         int j = i; /* insertion sort of the vertices by colour */
@@ -363,69 +375,25 @@ static int canon_run(CanonCtx *S, PyObject *n_obj, PyObject *rows, PyObject *col
         if (i && col[ord[i]] != col[ord[i - 1]])
             ncells++;
         cell[ncells] |= BIT(ord[i]);
-        if (key_colors)
-            key_colors[i] = (u8)col[ord[i]];
+        sorted_colors[i] = (u8)col[ord[i]];
     }
-    S->autos = NULL;
-    S->nautos = S->autos_cap = 0;
-    int r = rec(S, cell, st, ncells + 1, 0, 0, 0);
-    PyMem_Free(S->autos);
-    if (r < 0) {
-        PyErr_NoMemory();
-        return -1;
-    }
-    return 0;
-}
-
-static PyObject *canon_perm(PyObject *self, PyObject *args, PyObject *kwargs)
-{
-    static char *kwlist[] = {"n", "rows", "colors", NULL};
-    PyObject *n_obj, *rows, *colors = Py_None;
-    CanonCtx S;
-    (void)self;
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OO|O", kwlist, &n_obj, &rows, &colors))
-        return NULL;
-    if (canon_run(&S, n_obj, rows, colors, NULL) < 0)
-        return NULL;
-    PyObject *out = PyTuple_New(S.n);
-    if (!out)
-        return NULL;
-    for (int k = 0; k < S.n; k++)
-        PyTuple_SET_ITEM(out, k, PyLong_FromLong(S.best_order[k]));
-    return out;
-}
-
-/* Layout: one byte n, the sorted colour values (when given), then the
- * adjacency rows relabeled into the canon_perm order, each packed big-endian
- * in (n + 7) / 8 bytes. */
-static PyObject *canon_key(PyObject *self, PyObject *args, PyObject *kwargs)
-{
-    static char *kwlist[] = {"n", "rows", "colors", NULL};
-    PyObject *n_obj, *rows, *colors = Py_None;
-    CanonCtx S;
-    u8 sorted_colors[MAXN];
-    (void)self;
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OO|O", kwlist, &n_obj, &rows, &colors))
-        return NULL;
-    if (canon_run(&S, n_obj, rows, colors, sorted_colors) < 0)
-        return NULL;
-    int n = S.n, nb = (n + 7) / 8, ncol = colors == Py_None ? 0 : n;
+    S.autos = NULL;
+    S.nautos = S.autos_cap = 0;
+    int r = rec(&S, cell, st, ncells + 1, 0, 0, 0);
+    PyMem_Free(S.autos);
+    if (r < 0)
+        return PyErr_NoMemory();
+    int nb = (n + 7) / 8, ncol = colors == Py_None ? 0 : n;
     PyObject *out = PyBytes_FromStringAndSize(NULL, 1 + ncol + n * nb);
     if (!out)
         return NULL;
-    u8 *p = (u8 *)PyBytes_AS_STRING(out), pos[MAXN];
+    u8 *p = (u8 *)PyBytes_AS_STRING(out);
     *p++ = (u8)n;
     memcpy(p, sorted_colors, ncol);
     p += ncol;
     for (int k = 0; k < n; k++)
-        pos[S.best_order[k]] = (u8)k;
-    for (int k = 0; k < n; k++) {
-        u64 row = S.adj[S.best_order[k]], nr = 0;
-        for (; row; row &= row - 1)
-            nr |= BIT(pos[__builtin_ctzll(row)]);
         for (int j = nb - 1; j >= 0; j--)
-            *p++ = (u8)(nr >> (8 * j));
-    }
+            *p++ = (u8)(S.best_rows[k] >> (8 * j));
     return out;
 }
 
@@ -613,9 +581,6 @@ static PyObject *free_tree_layouts(PyObject *self, PyObject *args, PyObject *kwa
  * ------------------------------------------------------------------------ */
 
 static PyMethodDef methods[] = {
-    {"canon_perm", (PyCFunction)(void (*)(void))canon_perm, METH_VARARGS | METH_KEYWORDS,
-     "canon_perm(n, rows, colors=None)\n--\n\nCanonical vertex order; see the reference "
-     "implementation."},
     {"canon_key", (PyCFunction)(void (*)(void))canon_key, METH_VARARGS | METH_KEYWORDS,
      "canon_key(n, rows, colors=None)\n--\n\nBytes identifying the isomorphism class; "
      "layout matches the reference."},

@@ -9,10 +9,12 @@ significant digits.  Output is identical across runs and thread counts;
 wall-clock time is only included when ``--timing`` is given.  ``enumerate``
 and ``verify`` have one sub-command per family and per check, each taking
 only the options it reads.  Every command takes ``--format`` and
-``--timing``.  ``--threads`` sizes the worker pool of a sweep, so only the
-sub-commands that can run one take it (``enumerate``, ``verify k2``,
-``verify tree2``), and ``augment``, which the benchmark runs with it; a
-count outside ``resolve_threads``' range is a parse error.  A sub-command's
+``--timing``.  ``--threads`` sizes the worker pool of a sweep.  The
+sub-commands whose families can fill more than one chunk take it
+(``enumerate``, ``verify k2``, ``verify tree2``), and so does ``augment``,
+which the benchmark runs with it; ``verify cubic`` takes no count, because
+its largest family, the 509 cubic graphs on 14 vertices, fits in one chunk.
+A count outside ``resolve_threads``' range is a parse error.  A sub-command's
 handler returns ``(params, results[, exit_code])``; its default
 ``--format`` is set on the parser, and ``_emit`` prints the results in the
 parsed ``--format``.

@@ -244,10 +244,9 @@ def canonical_key(g: Graph) -> bytes:
     Layout: one byte ``n``, then the canonically relabeled adjacency rows,
     each big-endian in ``(n + 7) // 8`` bytes.  The tail is the canonical
     graph itself, and the searches use the key as their state for that
-    reason; ``_decode_key`` decodes it.
+    reason; ``_decode_key`` decodes it.  The kernel raises ``ValueError``
+    unless 1 <= n <= ``CANON_MAX_VERTICES``.
     """
-    if g.n > CANON_MAX_VERTICES:
-        raise ValueError(f"canonical forms support n <= {CANON_MAX_VERTICES}")
     return _kernels.canon_key(g.n, g.rows)
 
 

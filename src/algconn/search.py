@@ -34,9 +34,11 @@ lambda2 values from ``_sweep``, which cuts a family into chunks of one vertex
 count, solves each chunk with one stacked call of the batched eigensolver,
 and yields the values in family order.  ``_sweep``
 turns a ``threads`` argument into a worker count through
-``resolve_threads``, and every entry point passes its argument on
+``resolve_threads``, and every entry point that takes one passes it on
 unchanged; the CLI checks ``--threads`` through the same function when it
 parses the option, so the range of a count has one owner.
+``verify_conjecture_cubic`` takes no count and sweeps with the default:
+its largest family, the 509 cubic graphs on 14 vertices, fits in one chunk.
 Each check's range comes from the limit of the family it enumerates: the
 tree check sweeps exactly where the tree family is enumerable (n <=
 ``TREE_MAX_N``) and samples past it, and the K_{2,n-2} and cubic checks stop
@@ -148,7 +150,8 @@ def _check_tree_args(n: int, d_max: int) -> None:
 def enumerate_trees(n: int, d_max: int) -> Iterator[Graph]:
     """All unlabeled trees on n vertices with maximum degree <= d_max."""
     _check_tree_args(n, d_max)
-    return map(_layout_to_graph, _kernels.free_tree_layouts(n, d_max))
+    # a cap of n or more caps nothing, and the compiled walk takes a C int
+    return map(_layout_to_graph, _kernels.free_tree_layouts(n, min(d_max, n)))
 
 
 def count_trees(n: int, d_max: int) -> int:
@@ -324,7 +327,12 @@ def _enumerate_by_degrees(
     Pre-keys share ``seen`` with the state keys, and no state key equals
     one: a pre-key's colours are all at least 1 and its rows d-regular,
     while a state whose colours are all at least 1 has every vertex open,
-    so every row of degree below d.
+    so every row of degree below d.  Pre-keys for the finals of every
+    sequence would drop the ``regular`` fork, but they pay only where
+    refinement from one cell is slow: a new final takes two labelings, a
+    repeated one takes one either way, and the degrees of a mixed sequence
+    already split the first cell.  ``enumerate_graphs(9, 14, 2)`` makes
+    20,840 labelings that way, one more per graph, where it makes 15,287.
     """
     finals = []
     zeros = (0,) * n
@@ -527,11 +535,12 @@ def maximize_trees(n: int, d_max: int, threads: Optional[int] = None) -> SearchO
     with ``enumerated`` taken from ``count_trees``.
     """
     _check_tree_args(n, d_max)
+    cap = min(d_max, n)  # as in enumerate_trees
 
     def solved():
         best = -math.inf
         for height in range(n):
-            layouts = _kernels.free_tree_layouts(n, d_max, height)
+            layouts = _kernels.free_tree_layouts(n, cap, height)
             trees = (_layout_to_graph(t) for t in layouts if max(t) == height)
             for val, g in _sweep(trees, threads):
                 best = max(best, val)

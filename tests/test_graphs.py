@@ -279,20 +279,25 @@ def test_canonical_key_invariance_and_separation():
             assert canonical_key(g) != canonical_key(g2)
 
 
-def test_canon_key_tail_is_the_canon_perm_relabeling():
-    # the searches read canonical rows and colours straight out of the key
+def test_canon_key_tail_is_a_colour_preserving_relabeling():
+    # the searches read canonical rows and colours straight out of the key:
+    # the rows are g relabeled so that each vertex keeps its colour, the
+    # colours come sorted, and the decoded graph keys to the key itself
     rng = random.Random(2718)
     for trial in range(120):
         n = rng.randrange(1, 21)  # up to three bytes per row
         g = _random_graph(rng, n, p=rng.uniform(0.1, 0.7))
         colors = tuple(rng.randrange(3) for _ in range(n)) if trial % 2 else None
-        order = _kernels.canon_perm(n, g.rows, colors)
-        pos = [0] * n
-        for k, v in enumerate(order):
-            pos[v] = k
-        rows, canon_colors = _decode_key(_kernels.canon_key(n, g.rows, colors))
-        assert rows == permute(g, pos).rows
-        assert canon_colors == (bytes(colors[v] for v in order) if colors else b"")
+        key = _kernels.canon_key(n, g.rows, colors)
+        rows, canon_colors = _decode_key(key)
+        assert canon_colors == (bytes(sorted(colors)) if colors else b"")
+        assert _kernels.canon_key(n, rows, tuple(canon_colors) or None) == key
+        if n <= 7:
+            assert any(
+                permute(g, pos).rows == rows
+                for pos in itertools.permutations(range(n))
+                if not colors or all(colors[v] == canon_colors[pos[v]] for v in range(n))
+            )
 
 
 def test_canonical_form_is_a_graph6_relabeling():

@@ -9,10 +9,10 @@ prunes by degree and height prefix, against the unpruned walk, and the
 canonical labeling, which skips stable splitters and splits by one- and
 two-vertex splitters with mask operations, against the refinement that
 re-tests every splitter after each split and counts every vertex on its
-own, call by call and by the orders it leads to.  Golden hashes of streams,
-and of the canonical orders of graphs made of twin cells and of
-vertex-transitive graphs, pin the canonical order itself, which the
-cross-checks cannot see change when both kernels change alike.
+own, call by call and by the keys it leads to.  Golden hashes of streams,
+and of the keys of graphs made of twin cells and of vertex-transitive
+graphs, pin the canonical labeling itself, which the cross-checks cannot
+see change when both kernels change alike.
 """
 
 import hashlib
@@ -128,7 +128,6 @@ def test_canon_agrees_on_random_graphs(sp):
         colors = None
         if trial % 3 == 0 and n > 1:
             colors = [rng.randint(0, 2) for _ in range(n)]
-        assert _pure.canon_perm(n, rows, colors) == sp.canon_perm(n, rows, colors)
         assert _pure.canon_key(n, rows, colors) == sp.canon_key(n, rows, colors)
 
 
@@ -151,14 +150,13 @@ def test_canon_agrees_on_relabelings_of_named_graphs(sp):
 def test_canon_agrees_on_generator_states(sp, generator_inputs):
     assert len(generator_inputs) > 1000
     for n, rows, colors in generator_inputs:
-        assert _pure.canon_perm(n, rows, colors) == sp.canon_perm(n, rows, colors)
         assert _pure.canon_key(n, rows, colors) == sp.canon_key(n, rows, colors)
 
 
 def test_canon_agrees_on_stars_and_empty_graphs(sp):
     for n in (20, 22, 24, 32, 40):
         for rows in (_star(n), [0] * n):
-            assert _pure.canon_perm(n, rows) == sp.canon_perm(n, rows)
+            assert _pure.canon_key(n, rows) == sp.canon_key(n, rows)
 
 
 def test_pure_canon_of_highly_symmetric_graphs(sp):
@@ -228,7 +226,7 @@ def test_stable_splitters_match_the_full_scan(monkeypatch, generator_inputs):
 
     monkeypatch.setattr(_pure, "_refine", checked)
     for case in cases:
-        _pure.canon_perm(*case)
+        _pure.canon_key(*case)
     assert calls["refines"] > len(cases)
 
 
@@ -400,10 +398,10 @@ def _twin_heavy_graphs():
     return out
 
 
-# sha256 of the canon_perm orders of _twin_heavy_graphs(), one line each of
-# the vertices separated by spaces, as the search gave them before it
-# pruned twin cells
-TWIN_ORDERS_SHA256 = "edfb2c49b74954c2900ef532b78882aba9bf678de92b11a6c4120bfa83788311"
+# sha256 of the canon_key keys of _twin_heavy_graphs(), concatenated, from
+# the orders the search gave before it pruned twin cells.  A key fixes the
+# order its search chose up to an automorphism of the graph
+TWIN_KEYS_SHA256 = "ffd77f9e73a02e8966ab8899c0fe048d921540282d5dcabbadadb28c1ff435e6"
 
 
 @pytest.mark.parametrize("kernel", ["pure", "compiled"])
@@ -411,11 +409,8 @@ def test_golden_twin_orders(kernel, request):
     module = _pure if kernel == "pure" else request.getfixturevalue("sp")
     graphs = _twin_heavy_graphs()
     assert len(graphs) == 226
-    text = "".join(
-        " ".join(map(str, module.canon_perm(n, rows, colors))) + "\n"
-        for n, rows, colors in graphs
-    )
-    assert hashlib.sha256(text.encode()).hexdigest() == TWIN_ORDERS_SHA256
+    keys = b"".join(module.canon_key(n, rows, colors) for n, rows, colors in graphs)
+    assert hashlib.sha256(keys).hexdigest() == TWIN_KEYS_SHA256
 
 
 def _vertex_transitive_graphs():
@@ -456,10 +451,10 @@ def _vertex_transitive_graphs():
     return out
 
 
-# sha256 of the canon_perm orders of _vertex_transitive_graphs(), one line
-# each of the vertices separated by spaces, as both kernels gave them before
-# the search wrote its best chunk path in place
-TRANSITIVE_ORDERS_SHA256 = "50eb4bc50cc9eacbc15bffbd03aac2158a8bd1b076f7fd0fd3db82531fd4e9eb"
+# sha256 of the canon_key keys of _vertex_transitive_graphs(), concatenated,
+# from the orders both kernels gave before the search wrote its best chunk
+# path in place
+TRANSITIVE_KEYS_SHA256 = "ccb4e744392de86b6d96ecc8bb67ae6d1ade222c61e034a1892839f1c1a0bf54"
 
 
 @pytest.mark.parametrize("kernel", ["pure", "compiled"])
@@ -467,11 +462,8 @@ def test_golden_vertex_transitive_orders(kernel, request):
     module = _pure if kernel == "pure" else request.getfixturevalue("sp")
     graphs = _vertex_transitive_graphs()
     assert len(graphs) == 27
-    text = "".join(
-        " ".join(map(str, module.canon_perm(n, rows))) + "\n" for n, rows in graphs
-    )
-    digest = hashlib.sha256(text.encode()).hexdigest()
-    assert digest == TRANSITIVE_ORDERS_SHA256
+    keys = b"".join(module.canon_key(n, rows) for n, rows in graphs)
+    assert hashlib.sha256(keys).hexdigest() == TRANSITIVE_KEYS_SHA256
 
 
 def _count_refines(monkeypatch):
@@ -498,10 +490,10 @@ def test_twin_cells_bound_the_search(monkeypatch):
     calls = _count_refines(monkeypatch)
     for rows in ([0] * 40, _star(40)):
         calls["refines"] = 0
-        _pure.canon_perm(40, rows)
+        _pure.canon_key(40, rows)
         assert calls["refines"] <= 40
     calls["refines"] = 0
-    _pure.canon_perm(40, [(1 << 40) - (1 << 20)] * 20 + [(1 << 20) - 1] * 20)
+    _pure.canon_key(40, [(1 << 40) - (1 << 20)] * 20 + [(1 << 20) - 1] * 20)
     assert calls["refines"] <= 3 * 40
 
 
@@ -517,16 +509,18 @@ def test_orbit_closure_bounds_the_search(monkeypatch):
     ):
         calls["refines"] = 0
         for graph in graphs:
-            _pure.canon_perm(*graph)
+            _pure.canon_key(*graph)
         assert calls["refines"] <= bound
 
 
 def test_key_byte_layout(sp):
-    # triangle: [n] then one relabeled adjacency row per byte
+    # triangle: [n] then one relabeled adjacency row per byte; with colours,
+    # the n colours it is partitioned by come sorted between them, and the
+    # colours past n are not read
     rows = [0b110, 0b101, 0b011]
-    expect = bytes([3, 6, 5, 3])
-    assert _pure.canon_key(3, rows) == expect
-    assert sp.canon_key(3, rows) == expect
+    for colors, expect in ((None, [3, 6, 5, 3]), ([2, 0, 1, 5], [3, 0, 1, 2, 6, 5, 3])):
+        assert _pure.canon_key(3, rows, colors) == bytes(expect)
+        assert sp.canon_key(3, rows, colors) == bytes(expect)
 
 
 def _unpruned_tree_layouts(n, dmax):
@@ -668,28 +662,37 @@ def test_tree_layouts_identical(sp):
                 assert list(sp.free_tree_layouts(n, dmax, h)) == expect, (n, dmax, h)
 
 
+@pytest.mark.parametrize("kernel", ["pure", "compiled"])
+def test_degree_cap_past_a_c_int_caps_nothing(kernel, request, monkeypatch):
+    # the compiled walk reads its degree cap as a C int, so the tree
+    # searches cap it at n first; a larger cap gives the d = n - 1 results
+    from algconn import _kernels, search
+
+    module = _pure if kernel == "pure" else request.getfixturevalue("sp")
+    monkeypatch.setattr(_kernels, "free_tree_layouts", module.free_tree_layouts)
+    assert list(search.enumerate_trees(8, 2**31)) == list(search.enumerate_trees(8, 7))
+    assert search.maximize_trees(8, 2**31) == search.maximize_trees(8, 7)
+
+
 def test_compiled_guards_size(sp):
     # the C kernel reads nothing past what it is given, and both kernels
     # refuse the same inputs, each walk at the call
     for module in (_pure, sp):
         for n in (0, 65):
-            for kernel in (module.canon_perm, module.canon_key):
-                with pytest.raises(ValueError, match="support 1 <= n <= 64"):
-                    kernel(n, [0] * n)
+            with pytest.raises(ValueError, match="support 1 <= n <= 64"):
+                module.canon_key(n, [0] * n)
             with pytest.raises(ValueError, match="support 1 <= n <= 64"):
                 module.free_tree_layouts(n, 3)
-        for kernel in (module.canon_perm, module.canon_key):
-            with pytest.raises(IndexError):
-                kernel(4, [0] * 3)
-            with pytest.raises(IndexError):
-                kernel(4, [0] * 4, [0] * 3)
-            with pytest.raises(IndexError):
-                kernel(3, [0b1000, 0, 0])  # a neighbour outside the graph
+        with pytest.raises(IndexError):
+            module.canon_key(4, [0] * 3)
+        with pytest.raises(IndexError):
+            module.canon_key(4, [0] * 4, [0] * 3)
+        with pytest.raises(IndexError):
+            module.canon_key(3, [0b1000, 0, 0])  # a neighbour outside the graph
         with pytest.raises(ValueError):
             module.canon_key(3, [0] * 3, [0, 256, 0])
-    for kernel in (sp.canon_perm, sp.canon_key):
-        with pytest.raises(OverflowError):
-            kernel(4, [0, 0, 0, 1 << 64])
+    with pytest.raises(OverflowError):
+        sp.canon_key(4, [0, 0, 0, 1 << 64])
     # a walk abandoned half-way is freed (python -X dev reports a bad free)
     walk = sp.free_tree_layouts(12, 3, 4)
     assert next(walk) == next(iter(_pure.free_tree_layouts(12, 3, 4)))
