@@ -83,16 +83,16 @@ def main():
 
     rng = random.Random(0)
     cases = {
-        "canon_key n=14 sparse": (14, _random_rows(rng, 14, 0.25), None),
-        "canon_key n=14 dense": (14, _random_rows(rng, 14, 0.7), None),
-        "canon_key n=30 regular-ish": (30, _random_rows(rng, 30, 0.12), None),
+        "canon_key n=14 sparse": (14, _random_rows(rng, 14, 0.25), bytes(14)),
+        "canon_key n=14 dense": (14, _random_rows(rng, 14, 0.7), bytes(14)),
+        "canon_key n=30 regular-ish": (30, _random_rows(rng, 30, 0.12), bytes(30)),
         "canon_key n=14 partial cubic": _partial_cubic(),
-        "canon_key n=40 sparse p=0.1": (40, _random_rows(rng, 40, 0.1), None),
-        "canon_key K1,39": (40, [(1 << 40) - 2] + [1] * 39, None),
-        "canon_key empty n=40": (40, [0] * 40, None),
-        "canon_key K20,20": (40, _complete_bipartite(20, 20), None),
-        "canon_key Q6": (64, _hypercube(6), None),
-        "canon_key Paley(61)": (61, _paley(61), None),
+        "canon_key n=40 sparse p=0.1": (40, _random_rows(rng, 40, 0.1), bytes(40)),
+        "canon_key K1,39": (40, [(1 << 40) - 2] + [1] * 39, bytes(40)),
+        "canon_key empty n=40": (40, [0] * 40, bytes(40)),
+        "canon_key K20,20": (40, _complete_bipartite(20, 20), bytes(40)),
+        "canon_key Q6": (64, _hypercube(6), bytes(64)),
+        "canon_key Paley(61)": (61, _paley(61), bytes(61)),
     }
 
     print(f"{'benchmark':34s}" + "".join(f"{name:>14s}" for name, _ in impls))
@@ -104,10 +104,10 @@ def main():
         print(f"{label:34s}{cells}")
 
     walkers = {name: mod.free_tree_layouts for name, mod in impls}
-    walks = [(14, 3, None), (16, 3, None), (18, 3, None), (20, 3, 4)]
+    walks = [(14, 3, 14), (16, 3, 16), (18, 3, 18), (20, 3, 4)]
     print(f"\n{'free trees':38s}" + "".join(f"{name:>22s}" for name in walkers))
     for n, dmax, height in walks:
-        cap = "" if height is None else f",max_height={height}"
+        cap = "" if height == n else f",max_height={height}"
         label = f"free_tree_layouts({n},{dmax}{cap})"
         times = []
         for walk in walkers.values():

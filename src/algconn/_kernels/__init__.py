@@ -1,8 +1,9 @@
 """Kernel selection: compiled extension when available, pure Python otherwise.
 
-Both backends export the same two kernels, ``canon_key`` and
-``free_tree_layouts``, run the same algorithms and give the same results;
-see ``_pure``, the reference.  Set ``ALGCONN_PURE=1`` to force the pure
+Both backends export the same two kernels, ``canon_key(n, rows, colors)``
+and ``free_tree_layouts(n, dmax, max_height)``, with no optional argument,
+run the same algorithms and give the same results; see ``_pure``, the
+reference.  Set ``ALGCONN_PURE=1`` to force the pure
 fallback even when the extension is built; the benchmark runs that way, and
 ``test_pure_env_forces_fallback`` checks it.  The cross-implementation tests
 do not use it: they build ``_speedups.c`` themselves and compare that build

@@ -15,6 +15,10 @@ one or two vertices splits a cell by mask operations, and ``canon_key``
 writes its rows from the best leaf, which relabeled them to build its code;
 the canonical order itself never leaves the search.
 
+Every argument of both entry points is required: ``canon_key(n, rows,
+colors)`` and ``free_tree_layouts(n, dmax, max_height)``.  The callers own
+the defaults: ``graphs.canonical_key`` keys an uncoloured graph with ``n``
+zero colours, and ``search.enumerate_trees`` passes ``n`` as the height.
 The entry points take ``1 <= n <= 64`` and raise ``ValueError`` otherwise,
 at the call and with the compiled kernels' message; a short ``rows`` or
 ``colors`` or a neighbour ``>= n`` raises ``IndexError``.
@@ -135,7 +139,19 @@ def _vertices(cell):
 
 
 def _close(orbit, frontier, autos, prefix):
-    """Grow ``orbit`` from ``frontier`` under the ``autos`` fixing ``prefix``."""
+    """Grow ``orbit`` from ``frontier`` under the ``autos`` fixing ``prefix``.
+
+    Only the automorphisms found at leaves can need the filter; a twin
+    transposition (v w) would prune exactly without it.  It moves a child
+    only when the child is v or w.  If the other vertex is a child too,
+    both lie in the target cell, so neither is in the prefix and the filter
+    passes the transposition anyway.  If the other vertex is in the prefix,
+    the child maps onto a prefix vertex.  That vertex is not a child, and
+    every automorphism that passes the filter fixes it.  (Another twin
+    transposition may move it on to a child; twins of twins are twins of
+    the same kind, so that child and the first are twins in one cell, and
+    swapping them is an automorphism that fixes the prefix.)
+    """
     while frontier:
         u = frontier.pop()
         for a, fixed in autos:
@@ -147,16 +163,17 @@ def _close(orbit, frontier, autos, prefix):
                 frontier.append(w)
 
 
-def canon_key(n, rows, colors=None):
-    """Bytes identifying the isomorphism class of a graph, coloured or not.
+def canon_key(n, rows, colors):
+    """Bytes identifying the colour-preserving isomorphism class of a graph.
 
-    Layout: one byte ``n``, the ``n`` colour values in ascending order (when
-    given), then the adjacency rows relabeled into the canonical order, each
-    packed big-endian in ``(n + 7) // 8`` bytes.  The tail is thus the
-    canonical graph itself and the colour bytes are the colours in canonical
-    order; the graph searches keep keys as their states and decode both
-    from them.  Two graphs receive identical keys exactly when they are
-    isomorphic (colour-preservingly, if colours are given).
+    Layout: one byte ``n``, the ``n`` colour values in ascending order, then
+    the adjacency rows relabeled into the canonical order, each packed
+    big-endian in ``(n + 7) // 8`` bytes.  The tail is thus the canonical
+    graph itself and the colour bytes are the colours in canonical order;
+    the graph searches keep keys as their states and decode both from them.
+    Two graphs receive identical keys exactly when they are isomorphic by a
+    map that preserves colours.  Equal colours start the search from one
+    cell, as an uncoloured labeling does.
 
     The search's partitions are lists of cell bitmasks, refined by
     ``_refine``, and a node individualizes each vertex v of its first
@@ -199,14 +216,11 @@ def canon_key(n, rows, colors=None):
     if not 1 <= n <= 64:
         raise ValueError("the kernels support 1 <= n <= 64")
     adj = rows
-    if colors is None:
-        cells = [(1 << n) - 1]
-    else:
-        colors = colors[:n]
-        by = {}
-        for v in range(n):
-            by[colors[v]] = by.get(colors[v], 0) | 1 << v
-        cells = [by[c] for c in sorted(by)]
+    colors = colors[:n]
+    by = {}
+    for v in range(n):
+        by[colors[v]] = by.get(colors[v], 0) | 1 << v
+    cells = [by[c] for c in sorted(by)]
 
     best_chunks = []  # the chunk path of the best leaf, written as found
     best_code = best_order = best_rows = None
@@ -293,8 +307,7 @@ def canon_key(n, rows, colors=None):
     rec(cells, set(), 0, False, 0)
     nb = (n + 7) // 8
     out = bytearray([n])
-    if colors is not None:
-        out += bytes(sorted(colors))
+    out += bytes(sorted(colors))
     for row in best_rows:
         out += row.to_bytes(nb, "big")
     return bytes(out)
@@ -386,21 +399,18 @@ def _first_over_cap(layout, dmax, max_height):
     return -1
 
 
-def free_tree_layouts(n, dmax, max_height=None):
+def free_tree_layouts(n, dmax, max_height):
     """Level sequences of all free trees on n vertices, max degree <= dmax.
 
     Exactly one representative per isomorphism class, in the successor
-    order of the underlying enumeration.  With ``max_height``, only the
-    layouts whose deepest level is at most that are yielded.  The arguments
-    are checked at the call, and the walk runs as the iterator is consumed.
-    The walk needs no special case: n <= 2 and dmax < 2 fall out of the caps.
+    order of the underlying enumeration, and only the layouts whose deepest
+    level is at most ``max_height``; a height of n - 1 or more caps nothing.
+    The arguments are checked at the call, and the walk runs as the iterator
+    is consumed.  The walk needs no special case: n <= 2 and dmax < 2 fall
+    out of the caps.
     """
     if not 1 <= n <= 64:
         raise ValueError("the kernels support 1 <= n <= 64")
-    if max_height is None:
-        max_height = n
-    if max_height < 0:
-        return iter(())  # the caps never test the root
     # the path rooted at its centre, the first free-canonical sequence
     path = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))
     return _walk(path, dmax, max_height)

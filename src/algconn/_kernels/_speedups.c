@@ -5,6 +5,8 @@
  * written from the rows of the same best leaf, and ``free_tree_layouts``
  * the same tree layouts in the same order.  ``_pure`` is the reference, and
  * the cross-implementation tests compare the two on thousands of inputs.
+ * Every argument is required, as in ``_pure``: ``canon_key(n, rows,
+ * colors)`` and ``free_tree_layouts(n, dmax, max_height)``.
  * Everything here assumes n <= 64 and keeps adjacency as one 64-bit mask
  * per vertex; the entry points check n, the lengths of ``rows`` and
  * ``colors`` and the range of every value before the search reads any of
@@ -155,7 +157,9 @@ static Auto *new_auto(CanonCtx *S)
 }
 
 /* The closure of orbit under the stored automorphisms that fix prefix
- * pointwise, grown from the vertices in frontier. */
+ * pointwise, grown from the vertices in frontier.  Only the automorphisms
+ * found at leaves can need the prefix filter; a twin transposition would
+ * prune exactly without it, by the argument at ``_pure._close``. */
 static u64 close_orbit(const CanonCtx *S, u64 orbit, u64 frontier, u64 prefix)
 {
     while (frontier) {
@@ -313,18 +317,18 @@ static int rec(CanonCtx *S, u64 *cell, u8 *st, int ncells, int depth, int tied, 
     return 0;
 }
 
-/* Layout: one byte n, the n colour values in ascending order (when
- * given), then the adjacency rows relabeled into the canonical order, each
- * packed big-endian in (n + 7) / 8 bytes.  The search starts from the
- * partition with one cell per colour, in ascending colour order, and the
- * rows are those of the best leaf. */
+/* Layout: one byte n, the n colour values in ascending order, then the
+ * adjacency rows relabeled into the canonical order, each packed big-endian
+ * in (n + 7) / 8 bytes.  The search starts from the partition with one cell
+ * per colour, in ascending colour order, and the rows are those of the best
+ * leaf. */
 static PyObject *canon_key(PyObject *self, PyObject *args, PyObject *kwargs)
 {
     static char *kwlist[] = {"n", "rows", "colors", NULL};
-    PyObject *n_obj, *rows, *colors = Py_None;
+    PyObject *n_obj, *rows, *colors;
     CanonCtx S;
     (void)self;
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OO|O", kwlist, &n_obj, &rows, &colors))
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OOO", kwlist, &n_obj, &rows, &colors))
         return NULL;
     long n = PyLong_AsLong(n_obj);
     if (n == -1 && PyErr_Occurred())
@@ -347,51 +351,47 @@ static PyObject *canon_key(PyObject *self, PyObject *args, PyObject *kwargs)
             return NULL;
         }
     }
-    long long col[MAXN];
-    u8 ord[MAXN], st[MAXN] = {0}, sorted_colors[MAXN];
-    u64 cell[MAXN] = {0};
-    int ncells = 0;
+    u64 by[256] = {0}; /* by[c]: the vertices of colour c */
     for (int i = 0; i < n; i++) {
-        col[i] = 0;
-        if (colors != Py_None) {
-            PyObject *item = PySequence_GetItem(colors, i);
-            if (!item)
-                return NULL;
-            col[i] = PyLong_AsLongLong(item);
-            Py_DECREF(item);
-            if (col[i] == -1 && PyErr_Occurred())
-                return NULL;
-            if (col[i] < 0 || col[i] > 255) {
-                PyErr_SetString(PyExc_ValueError, "bytes must be in range(0, 256)");
-                return NULL;
-            }
+        PyObject *item = PySequence_GetItem(colors, i);
+        if (!item)
+            return NULL;
+        long long c = PyLong_AsLongLong(item);
+        Py_DECREF(item);
+        if (c == -1 && PyErr_Occurred())
+            return NULL;
+        if (c < 0 || c > 255) {
+            PyErr_SetString(PyExc_ValueError, "bytes must be in range(0, 256)");
+            return NULL;
         }
-        int j = i; /* insertion sort of the vertices by colour */
-        for (; j > 0 && col[ord[j - 1]] > col[i]; j--)
-            ord[j] = ord[j - 1];
-        ord[j] = (u8)i;
+        by[c] |= BIT(i);
     }
-    for (int i = 0; i < n; i++) {
-        if (i && col[ord[i]] != col[ord[i - 1]])
-            ncells++;
-        cell[ncells] |= BIT(ord[i]);
-        sorted_colors[i] = (u8)col[ord[i]];
+    u8 st[MAXN] = {0}, sorted_colors[MAXN];
+    u64 cell[MAXN];
+    int ncells = 0, k = 0;
+    for (int c = 0; c < 256; c++) {
+        if (by[c]) {
+            int size = __builtin_popcountll(by[c]);
+            memset(sorted_colors + k, c, size);
+            k += size;
+            cell[ncells++] = by[c];
+        }
     }
     S.autos = NULL;
     S.nautos = S.autos_cap = 0;
-    int r = rec(&S, cell, st, ncells + 1, 0, 0, 0);
+    int r = rec(&S, cell, st, ncells, 0, 0, 0);
     PyMem_Free(S.autos);
     if (r < 0)
         return PyErr_NoMemory();
-    int nb = (n + 7) / 8, ncol = colors == Py_None ? 0 : n;
-    PyObject *out = PyBytes_FromStringAndSize(NULL, 1 + ncol + n * nb);
+    int nb = (n + 7) / 8;
+    PyObject *out = PyBytes_FromStringAndSize(NULL, 1 + n + n * nb);
     if (!out)
         return NULL;
     u8 *p = (u8 *)PyBytes_AS_STRING(out);
     *p++ = (u8)n;
-    memcpy(p, sorted_colors, ncol);
-    p += ncol;
-    for (int k = 0; k < n; k++)
+    memcpy(p, sorted_colors, n);
+    p += n;
+    for (k = 0; k < n; k++)
         for (int j = nb - 1; j >= 0; j--)
             *p++ = (u8)(S.best_rows[k] >> (8 * j));
     return out;
@@ -544,30 +544,21 @@ static PyTypeObject TreeWalkType = {
 static PyObject *free_tree_layouts(PyObject *self, PyObject *args, PyObject *kwargs)
 {
     static char *kwlist[] = {"n", "dmax", "max_height", NULL};
-    int n, dmax;
-    PyObject *height_obj = Py_None;
+    int n, dmax, max_height;
     (void)self;
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "ii|O", kwlist, &n, &dmax, &height_obj))
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "iii", kwlist, &n, &dmax, &max_height))
         return NULL;
     if (n < 1 || n > MAXN) {
         PyErr_SetString(PyExc_ValueError, "the kernels support 1 <= n <= 64");
         return NULL;
-    }
-    long max_height = n;
-    if (height_obj != Py_None) {
-        max_height = PyLong_AsLong(height_obj);
-        if (max_height == -1 && PyErr_Occurred())
-            return NULL;
-        if (max_height > n)
-            max_height = n;
     }
     TreeWalk *w = PyObject_New(TreeWalk, &TreeWalkType);
     if (!w)
         return NULL;
     w->n = n;
     w->dmax = dmax;
-    w->max_height = (int)max_height;
-    w->done = max_height < 0; /* the caps never test the root */
+    w->max_height = max_height;
+    w->done = 0;
     /* the path rooted at its centre, the first free-canonical sequence */
     for (int i = 0; i <= n / 2; i++)
         w->lay[i] = i;
@@ -582,11 +573,11 @@ static PyObject *free_tree_layouts(PyObject *self, PyObject *args, PyObject *kwa
 
 static PyMethodDef methods[] = {
     {"canon_key", (PyCFunction)(void (*)(void))canon_key, METH_VARARGS | METH_KEYWORDS,
-     "canon_key(n, rows, colors=None)\n--\n\nBytes identifying the isomorphism class; "
-     "layout matches the reference."},
+     "canon_key(n, rows, colors)\n--\n\nBytes identifying the colour-preserving isomorphism "
+     "class; layout matches the reference."},
     {"free_tree_layouts", (PyCFunction)(void (*)(void))free_tree_layouts,
      METH_VARARGS | METH_KEYWORDS,
-     "free_tree_layouts(n, dmax, max_height=None)\n--\n\nLevel sequences of all free trees "
+     "free_tree_layouts(n, dmax, max_height)\n--\n\nLevel sequences of all free trees "
      "on n vertices, max degree <= dmax, height <= max_height."},
     {NULL, NULL, 0, NULL},
 };

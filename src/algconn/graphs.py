@@ -244,18 +244,22 @@ def canonical_key(g: Graph) -> bytes:
     Layout: one byte ``n``, then the canonically relabeled adjacency rows,
     each big-endian in ``(n + 7) // 8`` bytes.  The tail is the canonical
     graph itself, and the searches use the key as their state for that
-    reason; ``_decode_key`` decodes it.  The kernel raises ``ValueError``
-    unless 1 <= n <= ``CANON_MAX_VERTICES``.
+    reason; ``_decode_key`` decodes it.  The kernel keys ``g`` with ``n``
+    zero colours, which start its search from one cell, as an uncoloured
+    labeling does, and the ``n`` colour bytes are dropped.  The kernel
+    raises ``ValueError`` unless 1 <= n <= ``CANON_MAX_VERTICES``.
     """
-    return _kernels.canon_key(g.n, g.rows)
+    key = _kernels.canon_key(g.n, g.rows, bytes(g.n))
+    return key[:1] + key[1 + g.n :]
 
 
 def _decode_key(key: bytes) -> tuple[tuple[int, ...], bytes]:
-    """Canonical adjacency rows and colours held in a ``canon_key``.
+    """Canonical adjacency rows and colours held in a key.
 
-    The colours (empty for an uncoloured key) come in canonical order.  Rows
-    have a fixed width, so keys of one vertex count and one colour multiset
-    sort exactly as their rows tuples do.
+    The key is a kernel ``canon_key``, whose colours come in canonical
+    order, or a ``canonical_key``, whose colours are empty.  Rows have a
+    fixed width, so keys of one vertex count and one colour multiset sort
+    exactly as their rows tuples do.
     """
     n = key[0]
     nb = (n + 7) // 8

@@ -139,19 +139,22 @@ def _layout_to_graph(layout: tuple[int, ...]) -> Graph:
     return Graph(n, rows)
 
 
-def _check_tree_args(n: int, d_max: int) -> None:
-    # the argument check of enumerate_trees, count_trees and maximize_trees
+def _check_tree_args(n: int, d_max: int) -> int:
+    # the argument check of enumerate_trees, count_trees and maximize_trees;
+    # returns the walk's degree cap: a cap of n or more caps nothing, and
+    # the compiled walk takes a C int
     if not 1 <= n <= TREE_MAX_N:
         raise ValueError(f"tree enumeration supports 1 <= n <= {TREE_MAX_N}")
     if d_max < 1:
         raise ValueError("d_max must be >= 1")
+    return min(d_max, n)
 
 
 def enumerate_trees(n: int, d_max: int) -> Iterator[Graph]:
     """All unlabeled trees on n vertices with maximum degree <= d_max."""
-    _check_tree_args(n, d_max)
-    # a cap of n or more caps nothing, and the compiled walk takes a C int
-    return map(_layout_to_graph, _kernels.free_tree_layouts(n, min(d_max, n)))
+    cap = _check_tree_args(n, d_max)
+    # a height cap of n caps nothing
+    return map(_layout_to_graph, _kernels.free_tree_layouts(n, cap, n))
 
 
 def count_trees(n: int, d_max: int) -> int:
@@ -534,8 +537,7 @@ def maximize_trees(n: int, d_max: int, threads: Optional[int] = None) -> SearchO
     tree can be a maximizer or tie one, so the outcome is the full sweep's,
     with ``enumerated`` taken from ``count_trees``.
     """
-    _check_tree_args(n, d_max)
-    cap = min(d_max, n)  # as in enumerate_trees
+    cap = _check_tree_args(n, d_max)
 
     def solved():
         best = -math.inf

@@ -213,7 +213,7 @@ def test_criterion_06_balanced_tree_maximizers(eigenvalues_below):
 
     # the census walks every layout, with no height cap
     assert count_trees(23, 3) == 565734
-    assert sum(1 for _ in _kernels.free_tree_layouts(23, 3)) == 565734
+    assert sum(1 for _ in _kernels.free_tree_layouts(23, 3, 23)) == 565734
 
     tree = bethe_tree(3, 3)
     lo, hi = "0.096788074088", "0.096788074089"

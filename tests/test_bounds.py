@@ -319,7 +319,7 @@ def test_walk_height_caps_the_diameter_and_lambda2():
     # 2h vertices inside the tree bounds its connectivity
     for n in range(1, 15):
         for d in sorted({3, n}):
-            for layout in _kernels.free_tree_layouts(n, d):
+            for layout in _kernels.free_tree_layouts(n, d, n):
                 h = max(layout)
                 g = _layout_to_graph(layout)
                 assert diameter(g) in (2 * h - 1, 2 * h), layout

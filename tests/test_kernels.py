@@ -99,8 +99,8 @@ def generator_inputs(unpruned_by_degrees):
     calls = {}
     real = _kernels.canon_key
 
-    def record(n, rows, colors=None):
-        calls[(n, tuple(rows), colors if colors is None else tuple(colors))] = None
+    def record(n, rows, colors):
+        calls[(n, tuple(rows), tuple(colors))] = None
         return real(n, rows, colors)
 
     def runs():
@@ -125,7 +125,7 @@ def test_canon_agrees_on_random_graphs(sp):
     for trial in range(600):
         n = rng.randint(1, 16)
         rows = _random_rows(rng, n, rng.choice([0.15, 0.4, 0.7]))
-        colors = None
+        colors = bytes(n)
         if trial % 3 == 0 and n > 1:
             colors = [rng.randint(0, 2) for _ in range(n)]
         assert _pure.canon_key(n, rows, colors) == sp.canon_key(n, rows, colors)
@@ -137,14 +137,15 @@ def test_canon_agrees_on_relabelings_of_named_graphs(sp):
     rng = random.Random(5)
     for name in ("petersen", "heawood", "tutte_coxeter"):
         g = named(name)
-        ref = sp.canon_key(g.n, g.rows)
-        assert ref == _pure.canon_key(g.n, g.rows)
+        zeros = bytes(g.n)
+        ref = sp.canon_key(g.n, g.rows, zeros)
+        assert ref == _pure.canon_key(g.n, g.rows, zeros)
         for _ in range(20):
             perm = list(range(g.n))
             rng.shuffle(perm)
             rows = _relabel(g.rows, perm)
-            assert sp.canon_key(g.n, rows) == ref
-            assert _pure.canon_key(g.n, rows) == ref
+            assert sp.canon_key(g.n, rows, zeros) == ref
+            assert _pure.canon_key(g.n, rows, zeros) == ref
 
 
 def test_canon_agrees_on_generator_states(sp, generator_inputs):
@@ -156,7 +157,7 @@ def test_canon_agrees_on_generator_states(sp, generator_inputs):
 def test_canon_agrees_on_stars_and_empty_graphs(sp):
     for n in (20, 22, 24, 32, 40):
         for rows in (_star(n), [0] * n):
-            assert _pure.canon_key(n, rows) == sp.canon_key(n, rows)
+            assert _pure.canon_key(n, rows, bytes(n)) == sp.canon_key(n, rows, bytes(n))
 
 
 def test_pure_canon_of_highly_symmetric_graphs(sp):
@@ -169,7 +170,8 @@ def test_pure_canon_of_highly_symmetric_graphs(sp):
         perm = list(range(n))
         rng.shuffle(perm)
         for kernel in (_pure, sp):
-            assert kernel.canon_key(n, _relabel(rows, perm)) == kernel.canon_key(n, rows)
+            relabeled = kernel.canon_key(n, _relabel(rows, perm), bytes(n))
+            assert relabeled == kernel.canon_key(n, rows, bytes(n))
 
 
 def _restart_refine(adj, cells, stable):
@@ -208,13 +210,13 @@ def test_stable_splitters_match_the_full_scan(monkeypatch, generator_inputs):
     for trial in range(300):
         n = rng.randint(1, 14)
         rows = _random_rows(rng, n, rng.choice([0.15, 0.4, 0.7]))
-        colors = [rng.randint(0, 2) for _ in range(n)] if trial % 2 else None
+        colors = [rng.randint(0, 2) for _ in range(n)] if trial % 2 else bytes(n)
         cases.append((n, rows, colors))
     for name in ("petersen", "heawood", "tutte_coxeter"):
         g = named(name)
         perm = list(range(g.n))
         rng.shuffle(perm)
-        cases.append((g.n, _relabel(g.rows, perm), None))
+        cases.append((g.n, _relabel(g.rows, perm), bytes(g.n)))
     refine = _pure._refine
     calls = {"refines": 0}
 
@@ -322,7 +324,8 @@ def test_golden_streams(kernel, request, monkeypatch):
 
 
 def _twin_heavy_graphs():
-    # (n, rows, colors) of graphs made of twin classes, each relabeled at
+    # (n, rows, colors) of graphs made of twin classes, colors None for an
+    # uncoloured graph, each relabeled at
     # random: complete multipartite graphs, disjoint cliques, stars with
     # coloured leaves, and random graphs with vertices duplicated as twins
     # that are adjacent (a clique) or not (a coclique).  Near misses too:
@@ -398,18 +401,32 @@ def _twin_heavy_graphs():
     return out
 
 
-# sha256 of the canon_key keys of _twin_heavy_graphs(), concatenated, from
+# sha256 of the keys of _twin_heavy_graphs(), concatenated, from
 # the orders the search gave before it pruned twin cells.  A key fixes the
 # order its search chose up to an automorphism of the graph
 TWIN_KEYS_SHA256 = "ffd77f9e73a02e8966ab8899c0fe048d921540282d5dcabbadadb28c1ff435e6"
 
 
+def _golden_key(n, rows, colors):
+    # the kernel's key of a coloured graph, and graphs.canonical_key of an
+    # uncoloured one, the layouts the golden hashes were taken in
+    from algconn import _kernels
+    from algconn.graphs import Graph, canonical_key
+
+    if colors is None:
+        return canonical_key(Graph(n, rows))
+    return _kernels.canon_key(n, rows, colors)
+
+
 @pytest.mark.parametrize("kernel", ["pure", "compiled"])
-def test_golden_twin_orders(kernel, request):
+def test_golden_twin_orders(kernel, request, monkeypatch):
+    from algconn import _kernels
+
     module = _pure if kernel == "pure" else request.getfixturevalue("sp")
+    monkeypatch.setattr(_kernels, "canon_key", module.canon_key)
     graphs = _twin_heavy_graphs()
     assert len(graphs) == 226
-    keys = b"".join(module.canon_key(n, rows, colors) for n, rows, colors in graphs)
+    keys = b"".join(_golden_key(*graph) for graph in graphs)
     assert hashlib.sha256(keys).hexdigest() == TWIN_KEYS_SHA256
 
 
@@ -451,18 +468,21 @@ def _vertex_transitive_graphs():
     return out
 
 
-# sha256 of the canon_key keys of _vertex_transitive_graphs(), concatenated,
-# from the orders both kernels gave before the search wrote its best chunk
+# sha256 of the canonical_key keys of _vertex_transitive_graphs(),
+# concatenated, from the orders both kernels gave before the search wrote its best chunk
 # path in place
 TRANSITIVE_KEYS_SHA256 = "ccb4e744392de86b6d96ecc8bb67ae6d1ade222c61e034a1892839f1c1a0bf54"
 
 
 @pytest.mark.parametrize("kernel", ["pure", "compiled"])
-def test_golden_vertex_transitive_orders(kernel, request):
+def test_golden_vertex_transitive_orders(kernel, request, monkeypatch):
+    from algconn import _kernels
+
     module = _pure if kernel == "pure" else request.getfixturevalue("sp")
+    monkeypatch.setattr(_kernels, "canon_key", module.canon_key)
     graphs = _vertex_transitive_graphs()
     assert len(graphs) == 27
-    keys = b"".join(module.canon_key(n, rows) for n, rows in graphs)
+    keys = b"".join(_golden_key(n, rows, None) for n, rows in graphs)
     assert hashlib.sha256(keys).hexdigest() == TRANSITIVE_KEYS_SHA256
 
 
@@ -490,10 +510,11 @@ def test_twin_cells_bound_the_search(monkeypatch):
     calls = _count_refines(monkeypatch)
     for rows in ([0] * 40, _star(40)):
         calls["refines"] = 0
-        _pure.canon_key(40, rows)
+        _pure.canon_key(40, rows, bytes(40))
         assert calls["refines"] <= 40
     calls["refines"] = 0
-    _pure.canon_key(40, [(1 << 40) - (1 << 20)] * 20 + [(1 << 20) - 1] * 20)
+    rows = [(1 << 40) - (1 << 20)] * 20 + [(1 << 20) - 1] * 20
+    _pure.canon_key(40, rows, bytes(40))
     assert calls["refines"] <= 3 * 40
 
 
@@ -504,23 +525,32 @@ def test_orbit_closure_bounds_the_search(monkeypatch):
     # children (733 and 3,023 calls then)
     calls = _count_refines(monkeypatch)
     for graphs, bound in (
-        (_vertex_transitive_graphs(), 731),
+        ([(n, rows, None) for n, rows in _vertex_transitive_graphs()], 731),
         (_twin_heavy_graphs(), 2995),
     ):
         calls["refines"] = 0
-        for graph in graphs:
-            _pure.canon_key(*graph)
+        for n, rows, colors in graphs:
+            _pure.canon_key(n, rows, bytes(n) if colors is None else colors)
         assert calls["refines"] <= bound
 
 
-def test_key_byte_layout(sp):
-    # triangle: [n] then one relabeled adjacency row per byte; with colours,
-    # the n colours it is partitioned by come sorted between them, and the
-    # colours past n are not read
+def test_key_byte_layout(sp, monkeypatch):
+    # triangle: [n], the n colours it is partitioned by, sorted, then one
+    # relabeled adjacency row per byte; the colours past n are not read.
+    # graphs.canonical_key drops the n zero colours it keys with
+    from algconn import _kernels
+    from algconn.graphs import Graph, canonical_key
+
     rows = [0b110, 0b101, 0b011]
-    for colors, expect in ((None, [3, 6, 5, 3]), ([2, 0, 1, 5], [3, 0, 1, 2, 6, 5, 3])):
+    for colors, expect in (
+        (bytes(3), [3, 0, 0, 0, 6, 5, 3]),
+        ([2, 0, 1, 5], [3, 0, 1, 2, 6, 5, 3]),
+    ):
         assert _pure.canon_key(3, rows, colors) == bytes(expect)
         assert sp.canon_key(3, rows, colors) == bytes(expect)
+    for module in (_pure, sp):
+        monkeypatch.setattr(_kernels, "canon_key", module.canon_key)
+        assert canonical_key(Graph(3, rows)) == bytes([3, 6, 5, 3])
 
 
 def _unpruned_tree_layouts(n, dmax):
@@ -596,13 +626,13 @@ def _max_degree(layout):
 
 
 def test_pruned_tree_walk_matches_unpruned():
-    # with no cap and with every height cap, n <= 2, dmax < 2 and negative
-    # caps included: the walk has no special case for any of them
+    # at every height cap, n <= 2 and dmax < 2 included: the walk has no
+    # special case for any of them, and a cap of n - 1 or more caps nothing
     for n in range(1, 17):
         for dmax in sorted({0, 1, 2, 3, 4, 5, n}):
             unpruned = list(_unpruned_tree_layouts(n, dmax))
-            assert list(_pure.free_tree_layouts(n, dmax)) == unpruned, (n, dmax)
-            for h in (-5, -1, *range(n + 1)):
+            assert list(_pure.free_tree_layouts(n, dmax, n)) == unpruned, (n, dmax)
+            for h in range(n + 1):
                 capped = list(_pure.free_tree_layouts(n, dmax, h))
                 assert capped == [t for t in unpruned if max(t) <= h], (n, dmax, h)
 
@@ -630,7 +660,7 @@ def test_pruned_tree_walk_work_bound(monkeypatch):
     # the walk reaches them in about 5,500 steps, and tests each candidate
     # a step reaches for free-canonicity at most once
     calls = _count_steps(monkeypatch)
-    trees = sum(1 for _ in _pure.free_tree_layouts(16, 3))
+    trees = sum(1 for _ in _pure.free_tree_layouts(16, 3, 16))
     assert trees == 2410
     assert calls["steps"] <= 3 * trees
     assert calls["tests"] <= calls["steps"]
@@ -649,15 +679,15 @@ def test_height_capped_walk_work_bound(monkeypatch):
 def test_tree_layouts_identical(sp):
     # at each height cap the compiled walk must give the pure walk's
     # layouts, which the test above shows are the uncapped ones filtered by
-    # height; n <= 2, dmax < 2 and negative caps included
+    # height; n <= 2 and dmax < 2 included
     for n in range(1, 19):
         for dmax in sorted({0, 1, 2, 3, 4, n}):
-            a = list(_pure.free_tree_layouts(n, dmax))
-            b = list(sp.free_tree_layouts(n, dmax))
+            a = list(_pure.free_tree_layouts(n, dmax, n))
+            b = list(sp.free_tree_layouts(n, dmax, n))
             assert a == b, (n, dmax)
             # every cap above the tallest layout keeps them all
             heights = [max(t) for t in a]
-            for h in (-5, -1, *range(max(heights, default=0) + 2)):
+            for h in range(max(heights, default=0) + 2):
                 expect = [t for t, th in zip(a, heights) if th <= h]
                 assert list(sp.free_tree_layouts(n, dmax, h)) == expect, (n, dmax, h)
 
@@ -680,23 +710,34 @@ def test_compiled_guards_size(sp):
     for module in (_pure, sp):
         for n in (0, 65):
             with pytest.raises(ValueError, match="support 1 <= n <= 64"):
-                module.canon_key(n, [0] * n)
+                module.canon_key(n, [0] * n, bytes(n))
             with pytest.raises(ValueError, match="support 1 <= n <= 64"):
-                module.free_tree_layouts(n, 3)
+                module.free_tree_layouts(n, 3, n)
         with pytest.raises(IndexError):
-            module.canon_key(4, [0] * 3)
+            module.canon_key(4, [0] * 3, bytes(4))
         with pytest.raises(IndexError):
             module.canon_key(4, [0] * 4, [0] * 3)
         with pytest.raises(IndexError):
-            module.canon_key(3, [0b1000, 0, 0])  # a neighbour outside the graph
+            module.canon_key(3, [0b1000, 0, 0], bytes(3))  # a neighbour outside the graph
         with pytest.raises(ValueError):
             module.canon_key(3, [0] * 3, [0, 256, 0])
     with pytest.raises(OverflowError):
-        sp.canon_key(4, [0, 0, 0, 1 << 64])
+        sp.canon_key(4, [0, 0, 0, 1 << 64], bytes(4))
     # a walk abandoned half-way is freed (python -X dev reports a bad free)
     walk = sp.free_tree_layouts(12, 3, 4)
     assert next(walk) == next(iter(_pure.free_tree_layouts(12, 3, 4)))
     del walk
+
+
+@pytest.mark.parametrize("kernel", ["pure", "compiled"])
+def test_kernel_arguments_are_required(kernel, request):
+    # the callers own the defaults: graphs.canonical_key keys an uncoloured
+    # graph with zero colours, and search.enumerate_trees passes n as height
+    module = _pure if kernel == "pure" else request.getfixturevalue("sp")
+    with pytest.raises(TypeError):
+        module.canon_key(3, [0] * 3)
+    with pytest.raises(TypeError):
+        module.free_tree_layouts(5, 3)
 
 
 def test_backend_reports_compiled():

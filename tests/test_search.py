@@ -197,7 +197,7 @@ def test_tree_counts_match_the_walk():
     # the recurrence and the free-tree walk share no code
     for n in range(1, 17):
         for dmax in sorted({1, 2, 3, 4, 5, max(n - 1, 1), n}):
-            walked = sum(1 for _ in _kernels.free_tree_layouts(n, dmax))
+            walked = sum(1 for _ in _kernels.free_tree_layouts(n, dmax, n))
             assert count_trees(n, dmax) == walked, (n, dmax)
 
 
@@ -300,7 +300,7 @@ def test_regular_family_labels_each_graph_once_uncoloured(monkeypatch):
     calls = []
     real = _kernels.canon_key
 
-    def record(n, rows, colors=None):
+    def record(n, rows, colors):
         calls.append(colors)
         return real(n, rows, colors)
 
@@ -388,7 +388,7 @@ def _small_tail_states():
                 if mask >> k & 1:
                     rows[a] |= 1 << b
                     rows[b] |= 1 << a
-            classes.setdefault(_kernels.canon_key(n, rows), rows)
+            classes.setdefault(_kernels.canon_key(n, rows, bytes(n)), rows)
         for rows in classes.values():
             for size in (1, 2, 3):
                 for ends in itertools.combinations(range(n), size):
@@ -405,8 +405,8 @@ def test_complete_tail_matches_brute_force(monkeypatch, unpruned_by_degrees):
     met = []
     real = _kernels.canon_key
 
-    def record(n, rows, colors=None):
-        if colors is not None and 1 <= sum(1 for c in colors if c) <= 3:
+    def record(n, rows, colors):
+        if 1 <= sum(1 for c in colors if c) <= 3:
             met.append((n, list(rows), list(colors)))
         return real(n, rows, colors)
 
@@ -545,7 +545,7 @@ def test_maximize_trees_cap(monkeypatch):
     walked = []
     walk = _kernels.free_tree_layouts
 
-    def record(n, dmax, max_height=None):
+    def record(n, dmax, max_height):
         walked.append(max_height)
         return walk(n, dmax, max_height)
 
