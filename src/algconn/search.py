@@ -16,8 +16,9 @@ deduplicates the state and gives the rows it is expanded from, and each
 isomorphism class of partial states is expanded once.  Final keys have
 all-zero colours and fixed-width big-endian rows, so sorting them sorts the
 graphs by their canonical rows, across degree sequences too.  Each child
-with more than three open vertices is labeled once, checked once against
-the keys seen and pushed; any other child is finished and filed as a final.
+with more than three open vertices must pass a viability check; it is then
+labeled once, looked up once in the keys seen and pushed if new.  Any other
+child is finished, and filed as a final if its one completion is connected.
 Three exact cuts skip labelings whose outcome is known (McKay & Piperno,
 "Practical graph isomorphism, II", 2014; McKay, "Isomorph-free exhaustive
 generation", J. Algorithms 26, 1998): partner sets that differ only by a
@@ -208,14 +209,15 @@ def _state_viable(n: int, rows, caps) -> bool:
 
 
 def _complete_tail(n: int, rows, caps) -> Optional[list[int]]:
-    # the rows of the one completion of a state with one to three open
-    # vertices, or None if it has none.  Only edges among the open vertices
+    # the rows of the one connected completion of a state with at most
+    # three open vertices, or None if it has none; with no open vertex the
+    # completion is the state itself.  Only edges among the open vertices
     # are left: with three, a, b and c, edge ab is placed
     # (c_a + c_b - c_c) / 2 times, which must be 0, or 1 on a non-edge, and
     # then every cap is used up; with two, the same sum without c_c leaves
     # only caps (1, 1) on a non-edge; one open vertex has no partner
     ends = [v for v in range(n) if caps[v]]
-    if len(ends) < 2:
+    if len(ends) == 1:
         return None
     total = sum(caps)
     out = list(rows)
@@ -226,7 +228,7 @@ def _complete_tail(n: int, rows, caps) -> Optional[list[int]]:
             out[b] |= 1 << a
         elif twice:
             return None
-    return out
+    return out if len(_components(out, (1 << n) - 1)) == 1 else None
 
 
 def _twin_predecessors(rows, caps, vertices) -> dict:
@@ -290,10 +292,11 @@ def _enumerate_by_degrees(
     regular sequence every open vertex has the same degree, so u is the
     first open vertex, the one of smallest remaining capacity.
 
-    Each sequence has its own ``seen`` set.  Each viable child with more
-    than three open vertices is keyed once, checked once against ``seen``
-    and pushed if new.  Any other viable child is a final, with no edges
-    left to place, or stands for its completion (below); the final is
+    Each sequence has its own ``seen`` set.  A child with more than three
+    open vertices is kept only if ``_state_viable`` passes it; it is then
+    keyed once, checked once against ``seen`` and pushed if new.  Any other
+    child, with zero to three open vertices, stands for its one connected
+    completion (below), itself when no vertex is open; the completion is
     keyed, checked against ``seen`` and filed in ``finals`` if new.  No
     final is pushed.  Finals have all-zero colours, and with all colours
     equal the canonical labeling is that of the uncoloured graph, so the
@@ -311,17 +314,14 @@ def _enumerate_by_degrees(
     labeling it dedupes nothing that its final's key does not.  Only edges
     among the open vertices are left, and their caps fix each of them: with
     open vertices a, b and c, edge ab is placed (c_a + c_b - c_c) / 2
-    times, which must be 0, or 1 on a non-edge.  With two, viability
-    already forces caps (1, 1) on a non-edge, and one open vertex is never
-    viable.  ``_complete_tail`` places those edges, and the completion is
-    keyed and filed as a final; a child with no completion is dropped.  The
-    completion is connected with no second viability check: a viable child
-    is connected or has at most three components, each holding an open
-    vertex, and the edges placed join them, one edge between two open
-    vertices, or at least two among three (each cap is at least 1 and the
-    caps' sum is even), which form a path through all three.  A state with
-    at most three open vertices pushes none with more, so the states with
-    more are expanded in the order the full loop expands them.
+    times, which must be 0, or 1 on a non-edge; with two, the caps must be
+    (1, 1) on a non-edge; one open vertex has no partner.
+    ``_complete_tail`` places those edges and returns the completion only
+    if it is connected, so a tail child needs no viability check: it has a
+    connected completion exactly when it is viable and has a completion.
+    A child with no connected completion is dropped.  A state with at most
+    three open vertices pushes none with more, so the states with more are
+    expanded in the order the full loop expands them.
 
     And a final of a regular sequence is keyed by its pre-key, the key
     with ``_local_colours`` as colours, which starts refinement from a
@@ -366,28 +366,24 @@ def _enumerate_by_degrees(
                     new_rows[p] |= 1 << u
                     new_caps[p] -= 1
                 new_caps[u] = 0
-                if not _state_viable(n, new_rows, new_caps):
+                if n - new_caps.count(0) > 3:
+                    if _state_viable(n, new_rows, new_caps):
+                        child = _kernels.canon_key(n, new_rows, new_caps)
+                        if child not in seen:
+                            seen.add(child)
+                            stack.append(child)
                     continue
-                left = n - new_caps.count(0)
-                if left > 3:
-                    child = _kernels.canon_key(n, new_rows, new_caps)
-                    if child not in seen:
-                        seen.add(child)
-                        stack.append(child)
+                # the one connected completion stands in for the child
+                new_rows = _complete_tail(n, new_rows, new_caps)
+                if new_rows is None:
                     continue
-                if left:  # the one completion stands in for the child
-                    new_rows = _complete_tail(n, new_rows, new_caps)
-                    if new_rows is None:
-                        continue
                 colours = _local_colours(n, new_rows) if regular else zeros
                 child = _kernels.canon_key(n, new_rows, colours)
                 if child in seen:
                     continue
                 seen.add(child)
-                # connected: _state_viable lets no closed component through
-                # unless it is the whole graph, and a completion joins the
-                # open vertices' components.  A regular final was keyed by
-                # its pre-key, so it is filed under its uncoloured key
+                # a regular final was keyed by its pre-key, so it is filed
+                # under its uncoloured key
                 if regular:
                     child = _kernels.canon_key(n, new_rows, zeros)
                 finals.append(child)

@@ -296,6 +296,9 @@ def test_refine_keeps_a_cell_the_splitter_misses():
 GOLDEN_STREAMS = [
     ("enumerate_cubic", (12,), 85,
      "26ec8f225fcb555cf830bb069bf67ffb964e2b46bc623feae502ade380d36309"),
+    # the family of the cubic-n14 benchmark workload
+    ("enumerate_cubic", (14,), 509,
+     "88344148a379ad8302d2a9dba7e56d0e2c72b88e76221e3d3e9646fbbb7724c1"),
     ("enumerate_graphs", (8, 12, 2), 513,
      "b697dfa050a396d92a7d3bebf103929a74b2c3ac06eff60431eebc90f0c1d02b"),
     # families with a regular sequence among mixed ones: (2,)*7, whose one

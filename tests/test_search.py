@@ -377,8 +377,9 @@ def _tail_completions(n, rows, caps):
 
 def _small_tail_states():
     # every graph on at most 6 vertices, one per isomorphism class, with
-    # every set of one to three open vertices and every cap from 1 to 3 on
-    # each (a cap of 3 has no completion among three open vertices)
+    # every set of at most three open vertices and every cap from 1 to 3 on
+    # each (a cap of 3 has no completion among three open vertices); with
+    # none open, the connected and the disconnected graphs are finals
     for n in range(1, 7):
         pairs = list(itertools.combinations(range(n), 2))
         classes = {}
@@ -390,7 +391,7 @@ def _small_tail_states():
                     rows[b] |= 1 << a
             classes.setdefault(_kernels.canon_key(n, rows, bytes(n)), rows)
         for rows in classes.values():
-            for size in (1, 2, 3):
+            for size in range(4):
                 for ends in itertools.combinations(range(n), size):
                     for values in itertools.product((1, 2, 3), repeat=size):
                         caps = [0] * n
@@ -400,13 +401,13 @@ def _small_tail_states():
 
 
 def test_complete_tail_matches_brute_force(monkeypatch, unpruned_by_degrees):
-    # the small states above, and every state with one to three open
+    # the small states above, and every state with at most three open
     # vertices that the unpruned loop labels in two generator runs
     met = []
     real = _kernels.canon_key
 
     def record(n, rows, colors):
-        if 1 <= sum(1 for c in colors if c) <= 3:
+        if sum(1 for c in colors if c) <= 3:
             met.append((n, list(rows), list(colors)))
         return real(n, rows, colors)
 
@@ -420,19 +421,40 @@ def test_complete_tail_matches_brute_force(monkeypatch, unpruned_by_degrees):
         list(enumerate_cubic(10))
         list(enumerate_graphs(8, 12, 2))
     assert len(met) > 1000
-    tally = {"none": 0, "one": 0, "viable": 0}
+    tally = {"none": 0, "connected": 0, "disconnected": 0}
     for n, rows, caps in itertools.chain(_small_tail_states(), met):
         found = _tail_completions(n, rows, caps)
         assert len(found) <= 1, (n, rows, caps)
+        connected = bool(found) and is_connected(Graph(n, found[0]))
         got = search._complete_tail(n, rows, caps)
-        assert got == (found[0] if found else None), (n, rows, caps)
-        tally["one" if found else "none"] += 1
-        if found and search._state_viable(n, rows, caps):
-            tally["viable"] += 1
-            assert is_connected(Graph(n, got)), (n, rows, caps)
-    # both outcomes are met, and many completions are checked for
-    # connectivity
+        assert got == (found[0] if connected else None), (n, rows, caps)
+        # the unpruned loop files a child's completion when the child is
+        # viable; the generator files it when it is connected
+        viable = bool(found) and search._state_viable(n, rows, caps)
+        assert viable == connected, (n, rows, caps)
+        if not found:
+            tally["none"] += 1
+        else:
+            tally["connected" if connected else "disconnected"] += 1
+    # every outcome is met many times
     assert min(tally.values()) > 1000, tally
+
+
+def test_only_pushed_children_are_checked_for_viability(monkeypatch):
+    # a child with at most three open vertices is judged by its completion
+    # alone, so _state_viable sees only the children that may be pushed
+    open_counts = []
+    real = search._state_viable
+
+    def spy(n, rows, caps):
+        open_counts.append(sum(1 for c in caps if c))
+        return real(n, rows, caps)
+
+    monkeypatch.setattr(search, "_state_viable", spy)
+    assert len(list(enumerate_cubic(12))) == 85
+    assert len(list(enumerate_graphs(8, 12, 0))) == 1169
+    assert open_counts
+    assert min(open_counts) > 3
 
 
 def test_cubic_rejects_bad_n():
